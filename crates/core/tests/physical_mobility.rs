@@ -635,3 +635,111 @@ fn repeated_relocations_preserve_the_stream() {
         (1..=50).collect::<Vec<u64>>()
     );
 }
+
+/// Regression: `move_to` sends the Detach (client → old border broker) and
+/// the ReSubscribe (client → new border broker) at once over different
+/// links.  When the new broker's Relocate overtakes the Detach, the old
+/// broker finds the client still connected; it used to drop the request, so
+/// the stream hung until the relocation timeout (every one of these seeds
+/// timed out).  With client links delayed uniformly by 0–3 ms and a
+/// `move_to` every 25 ms without a prior detach, every seed must relocate
+/// without a single timeout and lose nothing.
+///
+/// The one duplicate still admitted is the known bounded hand-over
+/// duplicate: when the new border broker sits downstream of the old one, a
+/// publication the old broker delivers straight to the departed client in
+/// the instant before the move reaches it is also held, and later released,
+/// by the new broker.  Only publications made within a few milliseconds of
+/// a move may arrive twice.
+#[test]
+fn a_relocate_that_overtakes_the_detach_still_relocates() {
+    const PUBLICATIONS: u64 = 400;
+    const MOVES: u64 = 16;
+    for seed in 0..20 {
+        let mut sys = SystemBuilder::new(&Topology::line(3))
+            .config(config(RoutingStrategyKind::Covering))
+            .link_delay(DelayModel::constant_millis(1))
+            .client_link_delay(DelayModel::Uniform {
+                min_micros: 0,
+                max_micros: 3_000,
+            })
+            .seed(seed)
+            .build()
+            .unwrap();
+        let consumer = ClientId::new(1);
+        let producer = ClientId::new(2);
+        let brokers = [sys.broker_node(0).unwrap(), sys.broker_node(1).unwrap()];
+        let mut consumer_script = vec![
+            (
+                SimTime::from_millis(1),
+                ClientAction::Attach { broker: brokers[0] },
+            ),
+            (
+                SimTime::from_millis(2),
+                ClientAction::Subscribe(parking_filter()),
+            ),
+        ];
+        for m in 1..=MOVES {
+            consumer_script.push((
+                SimTime::from_millis(50 + 25 * m),
+                ClientAction::MoveTo {
+                    broker: brokers[(m % 2) as usize],
+                },
+            ));
+        }
+        sys.add_client(
+            consumer,
+            LogicalMobilityMode::LocationDependent,
+            &[0, 1],
+            consumer_script,
+        )
+        .unwrap();
+        let mut producer_script = vec![(
+            SimTime::from_millis(1),
+            ClientAction::Attach {
+                broker: sys.broker_node(2).unwrap(),
+            },
+        )];
+        for i in 0..PUBLICATIONS {
+            producer_script.push((
+                SimTime::from_millis(40 + i),
+                ClientAction::Publish(vacancy(i as i64)),
+            ));
+        }
+        sys.add_client(
+            producer,
+            LogicalMobilityMode::LocationDependent,
+            &[2],
+            producer_script,
+        )
+        .unwrap();
+        // Well past the 30 s relocation timeout, so a hung stream shows.
+        sys.run_until(SimTime::from_secs(40));
+
+        assert_eq!(
+            sys.metrics().counter("mobility.relocation_timeout"),
+            0,
+            "seed {seed}: a relocation timed out"
+        );
+        let log = sys.client_log(consumer).unwrap();
+        assert_eq!(
+            log.distinct_publisher_seqs(producer),
+            (1..=PUBLICATIONS).collect::<Vec<u64>>(),
+            "seed {seed}: every publication must arrive"
+        );
+        let mut seen = std::collections::BTreeSet::new();
+        for publisher_seq in log.publisher_seqs(producer) {
+            if seen.insert(publisher_seq) {
+                continue;
+            }
+            // Publication `n` was made at 40 + (n - 1) ms.
+            let published_ms = 40 + publisher_seq - 1;
+            let near_a_move = (1..=MOVES).any(|m| (50 + 25 * m).abs_diff(published_ms) <= 10);
+            assert!(
+                near_a_move,
+                "seed {seed}: publication {publisher_seq} arrived twice, \
+                 away from any move"
+            );
+        }
+    }
+}

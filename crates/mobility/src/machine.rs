@@ -664,8 +664,13 @@ impl RelocationMachine {
         self.streams.entry(key.clone()).or_default().replay_route = Some(from);
 
         // Case 1: this broker is the old border broker itself (it holds the
-        // virtual counterpart) — it is its own junction: replay directly
-        // and garbage collect.
+        // virtual counterpart, or still serves the subscription) — it is its
+        // own junction: replay directly and garbage collect.  The client
+        // may still look connected here: `move_to` sends the Detach and the
+        // ReSubscribe at once over different links, so this Relocate can
+        // overtake the Detach.  The Relocate itself proves the client has
+        // re-subscribed elsewhere, so the stream is handed over now — like
+        // a Fetch — instead of hanging until the relocation timeout.
         let counterpart_here = self
             .streams
             .get(&key)
@@ -674,7 +679,7 @@ impl RelocationMachine {
         if counterpart_here
             || core
                 .client(client)
-                .map(|r| !r.connected && r.subscriptions.contains(&filter))
+                .map(|r| r.subscriptions.contains(&filter))
                 .unwrap_or(false)
         {
             out.extend(self.replay_and_collect(core, client, &filter, last_seq, from));

@@ -4,18 +4,20 @@
 //! the protocol code**.
 //!
 //! The paper specifies its protocols over point-to-point, error-free, FIFO
-//! links (Section 2.1).  Blocking `std::net` sockets with one thread per
-//! connection direction satisfy that contract exactly — TCP is FIFO per
-//! connection — so no async runtime is needed.  Four layers:
+//! links (Section 2.1).  Blocking `std::net` sockets satisfy that contract
+//! exactly — TCP is FIFO per connection — so no async runtime is needed.
+//! Five layers:
 //!
 //! 1. **wire codec** ([`wire`]) — length-prefixed + CRC32 frames (the same
 //!    discipline as the mobility WAL, sharing `rebeca_mobility::codec`)
 //!    carrying every [`Message`](rebeca_broker::Message) variant, plus the
 //!    `Hello` handshake (node id, epoch, dial-back endpoint, link delay
 //!    model) and heartbeats;
-//! 2. **link layer** (`link` module) — a dial-and-pump writer thread and a
-//!    decode-and-forward reader thread per connection direction.  Links are
-//!    **self-healing**: a dropped socket is redialled with exponential
+//! 2. **link layer** (`link` module) — the driver loop writes each frame
+//!    onto its socket itself; a per-link keeper thread dials, handshakes,
+//!    heart-beats and drains the backlog a slow peer leaves, and per
+//!    connection an ack pump and a decode-and-forward reader thread do the
+//!    reading.  Links are **self-healing**: a dropped socket is redialled with exponential
 //!    backoff and jitter, unacknowledged frames are replayed from a bounded
 //!    resend window (receivers deduplicate by per-direction sequence
 //!    number), and `Hello` epochs fence off zombie incarnations of a

@@ -1,20 +1,30 @@
-//! The link layer: blocking sockets, one thread per connection direction,
-//! self-healing across connection losses.
+//! The link layer: self-healing directed TCP connections, written from the
+//! driver loop itself.
 //!
 //! A TCP link between two nodes is made of up to two *directed*
 //! connections, each owned by the sending side:
 //!
-//! * the **writer thread** ([`spawn_writer`]) dials the peer's listen
-//!   endpoint (retrying until the peer process is up), sends the
-//!   [`Frame::Hello`] handshake, then pumps queued frames onto the socket —
-//!   interleaving [`Frame::Heartbeat`]s whenever the link has been idle for
-//!   the configured interval.  When the connection breaks it *redials* with
-//!   exponential backoff + jitter, replays its unacknowledged frames, and
-//!   resumes — frames queued while the link was down are retained, never
-//!   dropped.  A companion **ack pump** thread reads the cumulative
-//!   [`Frame::Ack`]s the peer writes back and prunes the writer's bounded
-//!   resend window; window overflow fails the link loudly
-//!   ([`LinkEvent::Failed`]) rather than ever losing a frame silently.
+//! * the **sender** is a [`LinkHandle`], shared by the driver loop and one
+//!   per-link **keeper** thread under a mutex.  On the *fast path* the loop
+//!   sequences, encodes and resend-buffers each frame in
+//!   [`LinkHandle::send`] and, while the connection is up and nothing is
+//!   backlogged, writes it onto the socket right there — no hand-off to
+//!   another thread.  The socket carries a constant send timeout of
+//!   [`WRITE_TIMEOUT`], so a full socket buffer never wedges the loop: the
+//!   loop marks the link `flushing` and hands the backlog to the keeper,
+//!   which owns the socket until the backlog drains (exactly one side
+//!   writes at a time).  The keeper does everything else: it dials the
+//!   peer's listen endpoint (retrying until the peer process is up), sends
+//!   the [`Frame::Hello`] handshake, writes [`Frame::Heartbeat`]s after
+//!   the configured interval without a write, and when the connection
+//!   breaks it *redials* with exponential backoff + jitter and replays the
+//!   unacknowledged frames — frames sent while the link was down are
+//!   retained, never dropped.  A per-connection **ack pump** thread reads
+//!   the cumulative [`Frame::Ack`]s the peer writes back and raises a
+//!   shared high-water mark; senders prune the bounded resend window from
+//!   it before every overflow check and every replay.  Window overflow
+//!   fails the link loudly ([`LinkEvent::Failed`]) rather than ever losing
+//!   a frame silently.
 //! * the **reader thread** ([`spawn_reader`]) serves one accepted
 //!   connection: it decodes frames off the socket and forwards them as
 //!   [`Inbound`] events into the driver's event loop channel, suppressing
@@ -22,6 +32,9 @@
 //!   the crash) and acknowledging progress.  A corrupt stream (checksum
 //!   mismatch, unknown tag) closes the connection with a typed error —
 //!   never a panic.
+//!
+//! A data frame therefore wakes three threads per hop: the peer's reader,
+//! the peer's event loop, and this side's ack pump.
 //!
 //! Epoch fencing makes the `Hello` restart epoch load-bearing: the shared
 //! [`LinkRegistry`] records the newest epoch seen per peer node, a reader
@@ -32,24 +45,29 @@
 //! TCP guarantees per-connection FIFO, and the resend window replays the
 //! unacknowledged suffix in order on the *same* (new) connection, so
 //! per-direction FIFO — the link contract of the paper's Section 2.1 —
-//! holds across connection generations: driver send order → writer channel
-//! order → socket order (replayed prefix first) → reader order (duplicates
-//! dropped) → event channel order.
+//! holds across connection generations: driver send order → sequence order
+//! in the resend window → socket order (replayed prefix first, whoever
+//! writes) → reader order (duplicates dropped) → event channel order.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rebeca_broker::Message;
 use rebeca_sim::{DelayModel, NodeId, SimDuration};
 
 use crate::endpoint::Endpoint;
 use crate::wire::{Frame, WireError, FRAME_HEADER_LEN, MAX_FRAME_LEN};
+
+/// How long one socket write may block: the driver loop then hands the
+/// backlog to the keeper, and the keeper checks its commands before
+/// retrying.
+const WRITE_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// How long a reader blocks on the socket before re-checking the shutdown
 /// flag.
@@ -111,9 +129,9 @@ pub(crate) enum Inbound {
         /// numbers strictly greater than this.
         spans_after: Option<u64>,
     },
-    /// A writer's outbound connection changed state.
+    /// A link's outbound connection changed state.
     Link {
-        /// The peer the writer dials.
+        /// The peer the link dials.
         peer: NodeId,
         /// What happened to the connection.
         event: LinkEvent,
@@ -143,8 +161,8 @@ pub(crate) enum Inbound {
     },
 }
 
-/// A state transition of one outbound connection, reported by its writer
-/// thread via [`Inbound::Link`].
+/// A state transition of one outbound connection, reported by its link
+/// (keeper thread or driver loop) via [`Inbound::Link`].
 #[derive(Debug)]
 pub(crate) enum LinkEvent {
     /// Dial + handshake succeeded; `resent` unacknowledged frames were
@@ -153,7 +171,7 @@ pub(crate) enum LinkEvent {
         /// Frames replayed from the resend window.
         resent: usize,
     },
-    /// An established connection was lost; the writer is redialing.
+    /// An established connection was lost; the keeper is redialing.
     Down {
         /// Why the connection dropped.
         reason: String,
@@ -163,8 +181,8 @@ pub(crate) enum LinkEvent {
         /// Lifetime redial attempt count for this link.
         attempt: u64,
     },
-    /// The peer fenced this writer's epoch: a newer incarnation of the
-    /// local node owns the identity, so the writer exits permanently.
+    /// The peer fenced this link's epoch: a newer incarnation of the local
+    /// node owns the identity, so the link stops permanently.
     Fenced {
         /// The minimum epoch the peer accepts.
         expected: u64,
@@ -177,20 +195,11 @@ pub(crate) enum LinkEvent {
     },
 }
 
-/// A command consumed by a writer thread: an outbound frame from the
-/// driver, or feedback from the connection's ack pump.
+/// A command consumed by a link's keeper thread.
 pub(crate) enum WriterCmd {
-    /// Send a protocol frame (sequenced and resend-buffered by the writer).
-    Frame(Frame),
-    /// The peer acknowledged every sequence number `<= seq`.
-    Ack {
-        /// Connection generation the ack arrived on (informational:
-        /// cumulative acks are monotone, so any generation's ack prunes).
-        #[allow(dead_code)]
-        generation: u64,
-        /// The peer's receive high-water mark.
-        seq: u64,
-    },
+    /// The driver loop handed its backlog over (or failed the link); wake
+    /// up and look at the shared state.
+    Flush,
     /// The peer fenced this connection's epoch.
     Fenced {
         /// Connection generation the fence arrived on.
@@ -198,13 +207,16 @@ pub(crate) enum WriterCmd {
         /// The minimum epoch the peer accepts.
         expected: u64,
     },
-    /// The connection's read half hit EOF or an error.
+    /// The connection broke: its read half hit EOF or an error, or a write
+    /// failed.
     ConnLost {
         /// The generation that died.
         generation: u64,
+        /// Why it died.
+        reason: String,
     },
     /// Force-drop the current connection (admin fault injection); the
-    /// writer redials and replays as if the socket had broken.
+    /// keeper redials and replays as if the socket had broken.
     Drop,
 }
 
@@ -247,7 +259,7 @@ impl FaultPlan {
     }
 }
 
-/// The per-connection knob set of one writer thread.
+/// The knob set of one directed link.
 pub(crate) struct LinkConfig {
     /// The peer's listen endpoint to dial.
     pub target: Endpoint,
@@ -272,7 +284,7 @@ pub(crate) struct LinkConfig {
 
 /// Exponential backoff with deterministic jitter for redial attempt
 /// `attempt` (1-based): `base * 2^(attempt-1)` capped at `max`, plus up to
-/// 25% jitter derived from `seed` — so a cluster of writers redialing the
+/// 25% jitter derived from `seed` — so a cluster of keepers redialing the
 /// same crashed peer does not thunder in lockstep.
 fn redial_backoff(attempt: u64, base: Duration, max: Duration, seed: u64) -> Duration {
     let base_us = (base.as_micros() as u64).max(1);
@@ -381,16 +393,380 @@ impl LinkRegistry {
     }
 }
 
-/// Spawns the ack pump for one writer connection: it reads the peer's
-/// cumulative [`Frame::Ack`]s (and [`Frame::Fenced`] rejections) off the
-/// connection's read half and feeds them back into the writer's command
-/// channel, tagged with the connection generation.  Exits on EOF, error,
-/// fence, or shutdown — reporting [`WriterCmd::ConnLost`] so the writer
-/// notices a peer that died silently between writes.
+/// How the driver loop's [`LinkHandle::send`] left a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Sent {
+    /// Sequenced and resend-buffered; written onto the socket already, or
+    /// queued for the keeper while the connection is down or backlogged.
+    Accepted,
+    /// Accepted, but the socket buffer filled up: the keeper now owns the
+    /// socket and drains the backlog, so the loop never blocks on a slow
+    /// peer.
+    HandedOff,
+    /// The link failed for good (fenced, resend window overflow, or an
+    /// unsplittable frame); the frame is not sent.
+    Dropped,
+}
+
+/// The sender state of one directed link, shared by the driver loop and the
+/// link's keeper thread under one mutex.
+///
+/// Every sequenced frame sits in `unacked` from the moment it is sent until
+/// the peer acknowledges it.  The `written`/`partial` cursor says how far
+/// the *current* connection got, so exactly the suffix behind it is (re)sent;
+/// `flushing` says who may write: the driver loop while it is clear, the
+/// keeper while it is set — never both.
+struct LinkState {
+    /// The established connection, `None` while dialling or down.
+    stream: Option<TcpStream>,
+    /// Generation of `stream` (one per successful dial).
+    generation: u64,
+    /// Sequence number of the next frame sent.
+    next_seq: u64,
+    /// Unacknowledged frames, consecutive in sequence order.
+    unacked: VecDeque<(u64, Arc<[u8]>)>,
+    /// Highest sequence number fully written on the current connection.
+    written: u64,
+    /// Bytes of frame `written + 1` already written on the current
+    /// connection.
+    partial: usize,
+    /// Highest sequence number written on any connection: the frames up to
+    /// it are in flight, and the resend window bounds them.
+    sent_high: u64,
+    /// The keeper owns the socket until the backlog drains; meanwhile the
+    /// driver loop only queues.
+    flushing: bool,
+    /// The link failed for good; the keeper exits and sends are dropped.
+    failed: bool,
+    /// When the last bytes went onto the socket (heartbeat pacing).
+    last_write: Instant,
+    /// Fault injection plan, if it applies to this link.
+    fault: Option<FaultPlan>,
+    /// Sequenced frames written since the fault plan last fired.
+    fault_frames: u64,
+}
+
+impl LinkState {
+    fn new(fault: Option<FaultPlan>) -> Self {
+        Self {
+            stream: None,
+            generation: 0,
+            next_seq: 1,
+            unacked: VecDeque::new(),
+            written: 0,
+            partial: 0,
+            sent_high: 0,
+            flushing: false,
+            failed: false,
+            last_write: Instant::now(),
+            fault,
+            fault_frames: 0,
+        }
+    }
+
+    /// Drops every frame the peer acknowledged (`<= acked`).  With
+    /// `mid_write` the keeper may be writing frame `written + 1` right now,
+    /// so only fully written frames go; a partly written frame is always
+    /// kept, since its remaining bytes must still reach the socket for the
+    /// peer's framing to stay intact.
+    fn prune(&mut self, acked: u64, mid_write: bool) {
+        let bound = if mid_write || self.partial > 0 {
+            acked.min(self.written)
+        } else {
+            acked
+        };
+        while self.unacked.front().is_some_and(|(seq, _)| *seq <= bound) {
+            self.unacked.pop_front();
+        }
+        // Acknowledged frames need no (re)write on this connection.
+        self.written = self.written.max(bound);
+    }
+
+    /// The next frame to write on the current connection, with the number
+    /// of its bytes already written.
+    fn next_unwritten(&self) -> Option<(u64, Arc<[u8]>, usize)> {
+        let front = self.unacked.front()?.0;
+        let index = (self.written + 1).saturating_sub(front) as usize;
+        self.unacked
+            .get(index)
+            .map(|(seq, bytes)| (*seq, bytes.clone(), self.partial))
+    }
+
+    /// Unacknowledged frames that were written at least once.
+    fn in_flight(&self) -> usize {
+        match self.unacked.front() {
+            Some(&(front, _)) if self.sent_high >= front => (self.sent_high - front + 1) as usize,
+            _ => 0,
+        }
+    }
+
+    /// Records `n` more bytes of frame `seq` (of `len` bytes) on the socket;
+    /// returns whether the frame is now complete.
+    fn advance(&mut self, seq: u64, len: usize, n: usize) -> bool {
+        self.last_write = Instant::now();
+        self.partial += n;
+        if self.partial < len {
+            return false;
+        }
+        self.partial = 0;
+        self.written = seq;
+        self.sent_high = self.sent_high.max(seq);
+        self.fault_frames += 1;
+        true
+    }
+
+    /// Whether the fault plan drops the connection now.
+    fn fault_fires(&mut self) -> bool {
+        let Some(plan) = self.fault else {
+            return false;
+        };
+        if self.fault_frames < plan.drop_after_frames {
+            return false;
+        }
+        if plan.once {
+            self.fault = None;
+        } else {
+            self.fault_frames = 0;
+        }
+        true
+    }
+}
+
+/// What the driver loop, the keeper and the ack pumps of one link share.
+struct LinkShared {
+    peer: NodeId,
+    resend_window: usize,
+    /// The peer's cumulative acknowledgement: every sequence number up to
+    /// it arrived.  Ack pumps raise it; senders prune from it lazily.
+    acked: AtomicU64,
+    state: Mutex<LinkState>,
+    events: Sender<Inbound>,
+    keeper: Sender<WriterCmd>,
+}
+
+impl LinkShared {
+    fn lock(&self) -> MutexGuard<'_, LinkState> {
+        self.state
+            .lock()
+            .expect("link state lock poisoned: a link thread panicked")
+    }
+
+    fn acked(&self) -> u64 {
+        self.acked.load(Ordering::Acquire)
+    }
+
+    fn event(&self, event: LinkEvent) {
+        let _ = self.events.send(Inbound::Link {
+            peer: self.peer,
+            event,
+        });
+    }
+
+    /// Checks the resend window after a frame went out; overflow fails the
+    /// link loudly rather than ever losing a frame silently.
+    fn check_window(&self, st: &mut LinkState) {
+        let in_flight = st.in_flight();
+        if in_flight > self.resend_window {
+            self.fail(
+                st,
+                format!(
+                    "resend window overflow: {in_flight} unacked frames exceed the limit of {}",
+                    self.resend_window
+                ),
+            );
+        }
+    }
+
+    /// Fails the link for good: closes the connection, reports
+    /// [`LinkEvent::Failed`] and wakes the keeper so it exits.
+    fn fail(&self, st: &mut LinkState, reason: String) {
+        st.failed = true;
+        if let Some(stream) = st.stream.take() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        self.event(LinkEvent::Failed { reason });
+        let _ = self.keeper.send(WriterCmd::Flush);
+    }
+
+    /// The driver loop lost the connection: tell the keeper (first, so its
+    /// reason wins over the ack pump's EOF), then close the socket.
+    fn lose(&self, st: &mut LinkState, reason: String) {
+        let _ = self.keeper.send(WriterCmd::ConnLost {
+            generation: st.generation,
+            reason,
+        });
+        if let Some(stream) = st.stream.take() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// Writes as much of `bytes` as the socket takes before a write blocks for
+/// [`WRITE_TIMEOUT`]; a count below `bytes.len()` means the buffer is full.
+fn write_some(mut stream: &TcpStream, bytes: &[u8]) -> std::io::Result<usize> {
+    let mut done = 0;
+    while done < bytes.len() {
+        match stream.write(&bytes[done..]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => done += n,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                break
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(done)
+}
+
+/// The sending end of one directed link, owned by the driver loop.  See the
+/// module docs for the split between the loop's fast path and the keeper.
+pub(crate) struct LinkHandle {
+    shared: Arc<LinkShared>,
+}
+
+impl LinkHandle {
+    /// Creates the link and spawns its keeper thread, which dials the peer
+    /// (retrying until `shutdown`) and reports [`LinkEvent`]s on `events`.
+    pub fn spawn(cfg: LinkConfig, events: Sender<Inbound>, shutdown: Arc<AtomicBool>) -> Self {
+        let (keeper_tx, keeper_rx) = channel();
+        let fault = cfg
+            .fault
+            .filter(|f| f.peer.is_none() || f.peer == Some(cfg.peer.index()));
+        let shared = Arc::new(LinkShared {
+            peer: cfg.peer,
+            resend_window: cfg.resend_window,
+            acked: AtomicU64::new(0),
+            state: Mutex::new(LinkState::new(fault)),
+            events,
+            keeper: keeper_tx,
+        });
+        let keeper_shared = shared.clone();
+        std::thread::spawn(move || keep(keeper_shared, cfg, keeper_rx, shutdown));
+        Self { shared }
+    }
+
+    /// Sends one [`Frame::Message`] from the driver loop: assigns its
+    /// per-direction sequence number (splitting an oversized batch into
+    /// halves, each sequenced in order), buffers it for resend, and — when
+    /// the connection is up and nothing is backlogged — writes it onto the
+    /// socket right here.  Never blocks longer than one [`WRITE_TIMEOUT`].
+    pub fn send(&self, frame: Frame) -> Sent {
+        let shared = &self.shared;
+        let acked = shared.acked();
+        let mut st = shared.lock();
+        if st.failed {
+            return Sent::Dropped;
+        }
+        let mid_write = st.flushing;
+        st.prune(acked, mid_write);
+        // A frame over the receiver's size limit is split into halves
+        // (batch payloads only) until every piece fits; pieces are
+        // sequenced in final order, so per-direction FIFO — and therefore
+        // exactly-once delivery — is preserved.
+        let mut worklist = VecDeque::from([frame]);
+        while let Some(frame) = worklist.pop_front() {
+            let Frame::Message {
+                from,
+                to,
+                delay_micros,
+                seq: _,
+                message,
+            } = frame
+            else {
+                return Sent::Dropped;
+            };
+            let frame = Frame::Message {
+                from,
+                to,
+                delay_micros,
+                seq: st.next_seq,
+                message,
+            };
+            let bytes = frame.encode_framed();
+            if bytes.len() > MAX_FRAME_LEN as usize + FRAME_HEADER_LEN {
+                match split_frame(frame) {
+                    Some((first, second)) => {
+                        worklist.push_front(second);
+                        worklist.push_front(first);
+                        continue;
+                    }
+                    None => {
+                        // An unsplittable message the peer is guaranteed to
+                        // reject: the link cannot honour its error-free
+                        // contract any more — fail it loudly rather than
+                        // silently dropping one message.
+                        shared.fail(
+                            &mut st,
+                            format!(
+                                "unsplittable frame of {} bytes exceeds the {MAX_FRAME_LEN} \
+                                 payload limit",
+                                bytes.len()
+                            ),
+                        );
+                        return Sent::Dropped;
+                    }
+                }
+            }
+            let seq = st.next_seq;
+            st.next_seq += 1;
+            st.unacked.push_back((seq, bytes.into()));
+        }
+        if st.stream.is_none() || st.flushing {
+            return Sent::Accepted;
+        }
+        // Fast path: the loop owns the socket while nothing is backlogged.
+        while let Some((seq, bytes, offset)) = st.next_unwritten() {
+            let stream = st.stream.as_ref().expect("checked above");
+            match write_some(stream, &bytes[offset..]) {
+                Ok(n) => {
+                    if !st.advance(seq, bytes.len(), n) {
+                        // The socket buffer is full: hand the backlog to the
+                        // keeper instead of waiting for the peer to read.
+                        st.flushing = true;
+                        let _ = shared.keeper.send(WriterCmd::Flush);
+                        return Sent::HandedOff;
+                    }
+                    shared.check_window(&mut st);
+                    if st.failed {
+                        return Sent::Accepted;
+                    }
+                    if st.fault_fires() {
+                        shared.lose(&mut st, "fault-injected drop".into());
+                        return Sent::Accepted;
+                    }
+                }
+                Err(e) => {
+                    shared.lose(&mut st, format!("write failed: {e}"));
+                    return Sent::Accepted;
+                }
+            }
+        }
+        Sent::Accepted
+    }
+
+    /// Force-drops the current connection (admin fault injection); the
+    /// keeper redials and replays as if the socket had broken.
+    pub fn drop_connection(&self) {
+        let _ = self.shared.keeper.send(WriterCmd::Drop);
+    }
+}
+
+/// Spawns the ack pump for one connection: it reads the peer's cumulative
+/// [`Frame::Ack`]s off the connection's read half and raises the link's
+/// shared high-water mark — no message to anyone, senders prune from it
+/// lazily.  A [`Frame::Fenced`] rejection, EOF or an error is reported to
+/// the keeper (tagged with the connection generation), so it notices a peer
+/// that died silently between writes.  Exits then, or on shutdown.
 fn spawn_ack_pump(
     stream: TcpStream,
     generation: u64,
-    tx: Sender<WriterCmd>,
+    shared: Arc<LinkShared>,
     shutdown: Arc<AtomicBool>,
 ) {
     std::thread::spawn(move || {
@@ -398,15 +774,18 @@ fn spawn_ack_pump(
         let mut stream = stream;
         let mut buf: Vec<u8> = Vec::with_capacity(256);
         let mut chunk = [0u8; 4096];
+        let lost = || {
+            let _ = shared.keeper.send(WriterCmd::ConnLost {
+                generation,
+                reason: "peer closed the connection".into(),
+            });
+        };
         loop {
             if shutdown.load(Ordering::SeqCst) {
                 return;
             }
             let n = match stream.read(&mut chunk) {
-                Ok(0) => {
-                    let _ = tx.send(WriterCmd::ConnLost { generation });
-                    return;
-                }
+                Ok(0) => return lost(),
                 Ok(n) => n,
                 Err(e)
                     if matches!(
@@ -416,10 +795,7 @@ fn spawn_ack_pump(
                 {
                     continue;
                 }
-                Err(_) => {
-                    let _ = tx.send(WriterCmd::ConnLost { generation });
-                    return;
-                }
+                Err(_) => return lost(),
             };
             buf.extend_from_slice(&chunk[..n]);
             let mut consumed = 0;
@@ -427,12 +803,12 @@ fn spawn_ack_pump(
                 match Frame::decode_framed(&buf[consumed..]) {
                     Ok((Frame::Ack { seq }, used)) => {
                         consumed += used;
-                        if tx.send(WriterCmd::Ack { generation, seq }).is_err() {
-                            return;
-                        }
+                        // Cumulative acks are monotone, so even one from a
+                        // dead generation's connection safely prunes.
+                        shared.acked.fetch_max(seq, Ordering::AcqRel);
                     }
                     Ok((Frame::Fenced { expected }, _)) => {
-                        let _ = tx.send(WriterCmd::Fenced {
+                        let _ = shared.keeper.send(WriterCmd::Fenced {
                             generation,
                             expected,
                         });
@@ -440,10 +816,7 @@ fn spawn_ack_pump(
                     }
                     Ok((_, used)) => consumed += used, // unexpected; ignore
                     Err(WireError::Truncated) => break,
-                    Err(_) => {
-                        let _ = tx.send(WriterCmd::ConnLost { generation });
-                        return;
-                    }
+                    Err(_) => return lost(),
                 }
             }
             buf.drain(..consumed);
@@ -451,305 +824,211 @@ fn spawn_ack_pump(
     });
 }
 
-/// Spawns the writer thread for one outbound connection: dial (with retry
-/// until `shutdown`), handshake with the configured `hello`, replay the
-/// resend window, then pump frames from `rx`, heart-beating after idleness.
+/// The keeper thread of one link: dial (with retry until `shutdown`),
+/// handshake with the configured `hello`, replay the unacknowledged suffix,
+/// drain whatever backlog the driver loop handed over, and heart-beat after
+/// `heartbeat` without a write.
 ///
-/// On a connection loss the writer reports [`LinkEvent::Down`] and redials
+/// On a connection loss the keeper reports [`LinkEvent::Down`] and redials
 /// with exponential backoff + jitter ([`LinkEvent::Redial`] per attempt),
-/// then replays its unacknowledged frames on the fresh connection
-/// ([`LinkEvent::Up`] carries the replay count).  The thread exits when the
-/// command channel disconnects, `shutdown` is raised, the peer fences its
-/// epoch ([`LinkEvent::Fenced`]), or the link fails permanently
-/// ([`LinkEvent::Failed`]: resend-window overflow or an unsplittable
-/// oversized frame).
-///
-/// `self_tx` is the sending half of `rx`, handed to each connection's ack
-/// pump so peer feedback and driver frames share one ordered queue.
-pub(crate) fn spawn_writer(
+/// then replays the unacknowledged frames on the fresh connection
+/// ([`LinkEvent::Up`] carries the replay count).  It exits when `shutdown`
+/// is raised, the peer fences its epoch ([`LinkEvent::Fenced`]), or the link
+/// fails permanently ([`LinkEvent::Failed`]).
+fn keep(
+    shared: Arc<LinkShared>,
     cfg: LinkConfig,
     rx: Receiver<WriterCmd>,
-    self_tx: Sender<WriterCmd>,
-    events: Sender<Inbound>,
     shutdown: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let LinkConfig {
-            target,
-            peer,
-            hello,
-            heartbeat,
-            dial_retry,
-            redial_max,
-            resend_window,
-            epoch,
-            fault,
-        } = cfg;
-        let down = |reason: String| Inbound::Link {
-            peer,
-            event: LinkEvent::Down { reason },
-        };
-        let jitter_seed = epoch
-            .wrapping_mul(0x1000_0001)
-            .wrapping_add(peer.index() as u64);
-        let mut fault = fault.filter(|f| f.peer.is_none() || f.peer == Some(peer.index()));
-        let mut next_seq: u64 = 1;
-        let mut unacked: VecDeque<(u64, Vec<u8>)> = VecDeque::new();
-        let mut generation: u64 = 0;
-        let mut redials: u64 = 0;
-        let mut frames_written: u64 = 0;
-        'link: loop {
-            // Dial.  The first connection keeps the constant startup
-            // cadence (cluster processes come up in arbitrary order); after
-            // a loss every attempt is reported and backed off exponentially
-            // with jitter, capped at `redial_max`.
-            let mut stream = {
-                let mut attempt: u64 = 0;
-                loop {
-                    if shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    if generation > 0 {
-                        attempt += 1;
-                        redials += 1;
-                        if events
-                            .send(Inbound::Link {
-                                peer,
-                                event: LinkEvent::Redial { attempt: redials },
-                            })
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                    match target.socket_addr().and_then(TcpStream::connect) {
-                        Ok(stream) => break stream,
-                        Err(_) if generation == 0 => std::thread::sleep(dial_retry),
-                        Err(_) => std::thread::sleep(redial_backoff(
-                            attempt,
-                            dial_retry,
-                            redial_max,
-                            jitter_seed,
-                        )),
-                    }
-                }
-            };
-            let _ = stream.set_nodelay(true);
-            generation += 1;
-
-            // Handshake, then replay the unacknowledged suffix in order —
-            // the new connection starts exactly where the old one provably
-            // left off, preserving per-direction FIFO.
-            let resent = unacked.len();
-            let mut wrote = stream.write_all(&hello.encode_framed());
-            if wrote.is_ok() {
-                for (_, bytes) in &unacked {
-                    wrote = stream.write_all(bytes);
-                    if wrote.is_err() {
-                        break;
-                    }
-                }
-            }
-            let pump = wrote
-                .is_ok()
-                .then(|| stream.try_clone())
-                .and_then(Result::ok);
-            let Some(pump_stream) = pump else {
-                if events
-                    .send(down("handshake or replay failed".into()))
-                    .is_err()
-                {
+) {
+    let LinkConfig {
+        target,
+        peer,
+        hello,
+        heartbeat,
+        dial_retry,
+        redial_max,
+        epoch,
+        ..
+    } = cfg;
+    let jitter_seed = epoch
+        .wrapping_mul(0x1000_0001)
+        .wrapping_add(peer.index() as u64);
+    let mut generation: u64 = 0;
+    let mut redials: u64 = 0;
+    'link: loop {
+        // Dial.  The first connection keeps the constant startup cadence
+        // (cluster processes come up in arbitrary order); after a loss every
+        // attempt is reported and backed off exponentially with jitter,
+        // capped at `redial_max`.
+        let stream = {
+            let mut attempt: u64 = 0;
+            loop {
+                if shutdown.load(Ordering::SeqCst) || shared.lock().failed {
                     return;
                 }
-                let _ = stream.shutdown(Shutdown::Both);
-                std::thread::sleep(dial_retry);
-                continue 'link;
-            };
-            spawn_ack_pump(pump_stream, generation, self_tx.clone(), shutdown.clone());
-            if events
-                .send(Inbound::Link {
-                    peer,
-                    event: LinkEvent::Up { resent },
-                })
-                .is_err()
-            {
+                if generation > 0 {
+                    attempt += 1;
+                    redials += 1;
+                    shared.event(LinkEvent::Redial { attempt: redials });
+                }
+                match target.socket_addr().and_then(TcpStream::connect) {
+                    Ok(stream) => break stream,
+                    Err(_) if generation == 0 => std::thread::sleep(dial_retry),
+                    Err(_) => std::thread::sleep(redial_backoff(
+                        attempt,
+                        dial_retry,
+                        redial_max,
+                        jitter_seed,
+                    )),
+                }
+            }
+        };
+        generation += 1;
+        let _ = stream.set_nodelay(true);
+        let clones = stream
+            .set_write_timeout(Some(WRITE_TIMEOUT))
+            .and_then(|()| Ok((stream.try_clone()?, stream.try_clone()?)));
+        let Ok((pump_stream, loop_stream)) = clones else {
+            shared.event(LinkEvent::Down {
+                reason: "handshake failed".into(),
+            });
+            let _ = stream.shutdown(Shutdown::Both);
+            std::thread::sleep(dial_retry);
+            continue 'link;
+        };
+        spawn_ack_pump(pump_stream, generation, shared.clone(), shutdown.clone());
+        // Take the socket over, then handshake and replay the
+        // unacknowledged suffix in order — the new connection starts
+        // exactly where the old one provably left off, preserving
+        // per-direction FIFO.
+        let resent = {
+            let acked = shared.acked();
+            let mut st = shared.lock();
+            st.written = 0;
+            st.partial = 0;
+            st.prune(acked, false);
+            st.generation = generation;
+            st.stream = Some(loop_stream);
+            st.flushing = true;
+            st.in_flight()
+        };
+        shared.event(LinkEvent::Up { resent });
+        let mut extra = Some((hello.encode_framed(), 0));
+
+        let lost = |reason: String| {
+            let mut st = shared.lock();
+            if st.generation == generation {
+                st.stream = None;
+            }
+            drop(st);
+            let _ = stream.shutdown(Shutdown::Both);
+            shared.event(LinkEvent::Down { reason });
+        };
+        loop {
+            if shutdown.load(Ordering::SeqCst) {
                 return;
             }
-
-            loop {
-                if shutdown.load(Ordering::SeqCst) {
+            let (flushing, idle) = {
+                let st = shared.lock();
+                if st.failed {
+                    drop(st);
+                    let _ = stream.shutdown(Shutdown::Both);
                     return;
                 }
-                let cmd = match rx.recv_timeout(heartbeat) {
-                    Ok(cmd) => cmd,
-                    Err(RecvTimeoutError::Timeout) => {
-                        if let Err(e) =
-                            stream.write_all(&Frame::Heartbeat { epoch }.encode_framed())
-                        {
-                            if events.send(down(format!("heartbeat write: {e}"))).is_err() {
-                                return;
-                            }
-                            let _ = stream.shutdown(Shutdown::Both);
-                            continue 'link;
-                        }
-                        continue;
-                    }
+                (st.flushing, st.last_write.elapsed())
+            };
+            let cmd = if flushing {
+                rx.try_recv().ok()
+            } else {
+                let wait = heartbeat.saturating_sub(idle).max(WRITE_TIMEOUT);
+                match rx.recv_timeout(wait) {
+                    Ok(cmd) => Some(cmd),
+                    Err(RecvTimeoutError::Timeout) => None,
                     Err(RecvTimeoutError::Disconnected) => return,
-                };
-                match cmd {
-                    WriterCmd::Ack { seq, .. } => {
-                        // Cumulative acks are monotone, so even one from a
-                        // dead generation's pump safely prunes the window.
-                        while unacked.front().is_some_and(|(s, _)| *s <= seq) {
-                            unacked.pop_front();
-                        }
-                    }
-                    WriterCmd::Fenced {
-                        generation: g,
-                        expected,
-                    } if g == generation => {
-                        let _ = events.send(Inbound::Link {
-                            peer,
-                            event: LinkEvent::Fenced { expected },
-                        });
-                        let _ = stream.shutdown(Shutdown::Both);
-                        return;
-                    }
-                    WriterCmd::Fenced { .. } => {}
-                    WriterCmd::ConnLost { generation: g } if g == generation => {
-                        if events
-                            .send(down("peer closed the connection".into()))
-                            .is_err()
-                        {
-                            return;
-                        }
-                        let _ = stream.shutdown(Shutdown::Both);
-                        continue 'link;
-                    }
-                    WriterCmd::ConnLost { .. } => {}
-                    WriterCmd::Drop => {
-                        let _ = stream.shutdown(Shutdown::Both);
-                        if events.send(down("admin-injected drop".into())).is_err() {
-                            return;
-                        }
-                        continue 'link;
-                    }
-                    WriterCmd::Frame(frame) => {
-                        // A frame over the receiver's size limit is split
-                        // into halves (batch payloads only) until every
-                        // piece fits; pieces are sequenced in final order,
-                        // so per-direction FIFO — and therefore
-                        // exactly-once delivery — is preserved.
-                        let mut fresh: Vec<(u64, Vec<u8>)> = Vec::with_capacity(1);
-                        let mut worklist = VecDeque::from([frame]);
-                        while let Some(frame) = worklist.pop_front() {
-                            let (seq, frame) = match frame {
-                                Frame::Message {
-                                    from,
-                                    to,
-                                    delay_micros,
-                                    seq: _,
-                                    message,
-                                } => {
-                                    let seq = next_seq;
-                                    next_seq += 1;
-                                    (
-                                        seq,
-                                        Frame::Message {
-                                            from,
-                                            to,
-                                            delay_micros,
-                                            seq,
-                                            message,
-                                        },
-                                    )
-                                }
-                                other => (0, other),
-                            };
-                            let bytes = frame.encode_framed();
-                            if bytes.len() > MAX_FRAME_LEN as usize + FRAME_HEADER_LEN {
-                                match split_frame(frame) {
-                                    Some((first, second)) => {
-                                        worklist.push_front(second);
-                                        worklist.push_front(first);
-                                        continue;
-                                    }
-                                    None => {
-                                        // An unsplittable message the peer
-                                        // is guaranteed to reject: the link
-                                        // cannot honour its error-free
-                                        // contract any more — fail it
-                                        // loudly rather than silently
-                                        // dropping one message.
-                                        let _ = events.send(Inbound::Link {
-                                            peer,
-                                            event: LinkEvent::Failed {
-                                                reason: format!(
-                                                    "unsplittable frame of {} bytes exceeds \
-                                                     the {MAX_FRAME_LEN} payload limit",
-                                                    bytes.len()
-                                                ),
-                                            },
-                                        });
-                                        return;
-                                    }
-                                }
-                            }
-                            fresh.push((seq, bytes));
-                        }
-                        let mut broke: Option<std::io::Error> = None;
-                        for (seq, bytes) in fresh {
-                            if broke.is_none() {
-                                if let Err(e) = stream.write_all(&bytes) {
-                                    broke = Some(e);
-                                } else if seq > 0 {
-                                    frames_written += 1;
-                                }
-                            }
-                            if seq > 0 {
-                                unacked.push_back((seq, bytes));
-                            }
-                        }
-                        if unacked.len() > resend_window {
-                            let _ = events.send(Inbound::Link {
-                                peer,
-                                event: LinkEvent::Failed {
-                                    reason: format!(
-                                        "resend window overflow: {} unacked frames exceed \
-                                         the limit of {resend_window}",
-                                        unacked.len()
-                                    ),
-                                },
-                            });
-                            let _ = stream.shutdown(Shutdown::Both);
-                            return;
-                        }
-                        if let Some(e) = broke {
-                            if events.send(down(format!("write failed: {e}"))).is_err() {
-                                return;
-                            }
-                            let _ = stream.shutdown(Shutdown::Both);
-                            continue 'link;
-                        }
-                        if let Some(plan) = fault {
-                            if frames_written >= plan.drop_after_frames {
-                                if plan.once {
-                                    fault = None;
-                                } else {
-                                    frames_written = 0;
-                                }
-                                let _ = stream.shutdown(Shutdown::Both);
-                                if events.send(down("fault-injected drop".into())).is_err() {
-                                    return;
-                                }
-                                continue 'link;
-                            }
-                        }
-                    }
                 }
+            };
+            match cmd {
+                Some(WriterCmd::Drop) => {
+                    lost("admin-injected drop".into());
+                    continue 'link;
+                }
+                Some(WriterCmd::ConnLost {
+                    generation: g,
+                    reason,
+                }) if g == generation => {
+                    lost(reason);
+                    continue 'link;
+                }
+                Some(WriterCmd::Fenced {
+                    generation: g,
+                    expected,
+                }) if g == generation => {
+                    shared.lock().failed = true;
+                    let _ = stream.shutdown(Shutdown::Both);
+                    shared.event(LinkEvent::Fenced { expected });
+                    return;
+                }
+                _ => {}
+            }
+            if !flushing {
+                // Idle: take the socket for a heartbeat once one is due.
+                let mut st = shared.lock();
+                if st.flushing || st.stream.is_none() || st.last_write.elapsed() < heartbeat {
+                    continue;
+                }
+                st.flushing = true;
+                extra = Some((Frame::Heartbeat { epoch }.encode_framed(), 0));
+            }
+            if let Err(reason) = flush_step(&shared, &stream, &mut extra) {
+                lost(reason);
+                continue 'link;
             }
         }
-    })
+    }
+}
+
+/// One write of the keeper while it owns the socket: the pending handshake
+/// or heartbeat first (they sit between whole frames), else the next
+/// unwritten frame.  Gives the socket back to the driver loop once nothing
+/// is left.  Each write blocks for at most [`WRITE_TIMEOUT`], so the keeper
+/// checks its commands between them.  `Err` carries why the connection is
+/// lost.
+fn flush_step(
+    shared: &LinkShared,
+    stream: &TcpStream,
+    extra: &mut Option<(Vec<u8>, usize)>,
+) -> Result<(), String> {
+    let write = |bytes: &[u8]| write_some(stream, bytes).map_err(|e| format!("write failed: {e}"));
+    if let Some((bytes, offset)) = extra {
+        *offset += write(&bytes[*offset..])?;
+        if *offset == bytes.len() {
+            *extra = None;
+            shared.lock().last_write = Instant::now();
+        }
+        return Ok(());
+    }
+    let (seq, bytes, offset) = {
+        let acked = shared.acked();
+        let mut st = shared.lock();
+        st.prune(acked, false);
+        match st.next_unwritten() {
+            Some(next) => next,
+            None => {
+                st.flushing = false;
+                return Ok(());
+            }
+        }
+    };
+    let n = write(&bytes[offset..])?;
+    let mut st = shared.lock();
+    if st.advance(seq, bytes.len(), n) {
+        shared.check_window(&mut st);
+        if !st.failed && st.fault_fires() {
+            return Err("fault-injected drop".into());
+        }
+    }
+    Ok(())
 }
 
 /// Splits an oversized frame into two halves when its message is a batch
@@ -767,7 +1046,7 @@ fn split_frame(frame: Frame) -> Option<(Frame, Frame)> {
     else {
         return None;
     };
-    // Halves are re-sequenced by the writer when they are re-popped, so
+    // Halves are re-sequenced by the sender when they are re-popped, so
     // the placeholder 0 here is never written to a socket.
     let remake = |message: Message| Frame::Message {
         from,
@@ -1146,10 +1425,30 @@ mod tests {
     }
 
     #[test]
+    fn pruning_keeps_a_partly_written_frame_and_skips_acked_ones() {
+        let mut st = LinkState::new(None);
+        for seq in 1..=4u64 {
+            st.unacked.push_back((seq, vec![seq as u8; 10].into()));
+        }
+        assert!(st.advance(1, 10, 10));
+        assert!(!st.advance(2, 10, 4), "frame 2 is only partly written");
+        // An ack from an older connection covers frame 2 and 3, but frame
+        // 2's remaining bytes must still go out on this one.
+        st.prune(3, false);
+        let (seq, _, offset) = st.next_unwritten().expect("frame 2 pending");
+        assert_eq!((seq, offset), (2, 4));
+        assert!(st.advance(2, 10, 6));
+        // Now the acknowledged frame 3 is skipped rather than rewritten.
+        st.prune(3, false);
+        let (seq, _, offset) = st.next_unwritten().expect("frame 4 pending");
+        assert_eq!((seq, offset), (4, 0));
+        assert_eq!(st.in_flight(), 0, "nothing written is unacknowledged");
+    }
+
+    #[test]
     fn resend_window_overflow_fails_the_link_loudly() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let port = listener.local_addr().unwrap().port();
-        let (cmd_tx, cmd_rx) = channel();
         let (ev_tx, ev_rx) = channel();
         let shutdown = Arc::new(AtomicBool::new(false));
         let cfg = LinkConfig {
@@ -1169,15 +1468,14 @@ mod tests {
             epoch: 0,
             fault: None,
         };
-        let handle = spawn_writer(cfg, cmd_rx, cmd_tx.clone(), ev_tx, shutdown.clone());
+        let handle = LinkHandle::spawn(cfg, ev_tx, shutdown.clone());
         // Accept the connection but never acknowledge anything.
         let (_conn, _) = listener.accept().expect("accept");
         for i in 0..6u32 {
-            cmd_tx
-                .send(WriterCmd::Frame(frame(Message::Attach {
-                    client: ClientId::new(i),
-                })))
-                .expect("queue frame");
+            // The sixth send may already find the link failed (dropped).
+            handle.send(frame(Message::Attach {
+                client: ClientId::new(i),
+            }));
         }
         let mut saw_up = false;
         loop {
@@ -1205,7 +1503,5 @@ mod tests {
         }
         assert!(saw_up, "the link came up before overflowing");
         shutdown.store(true, Ordering::SeqCst);
-        drop(cmd_tx);
-        let _ = handle.join();
     }
 }

@@ -8,9 +8,12 @@
 //! ids above the broker range, allocated by the process that hosts them.
 //!
 //! The driver runs a single-threaded event loop over the local nodes
-//! (dispatch due events, harvest sends and timers), with per-connection
-//! reader/writer threads doing the blocking socket work (see
-//! [`link`](crate::link) module docs).  The event-ordering machinery —
+//! (dispatch due events, harvest sends and timers).  The loop writes
+//! outbound frames onto their sockets itself; a per-link keeper thread
+//! dials, heart-beats, replays after a reconnect and takes over the socket
+//! only while a slow peer leaves a backlog, and per-connection reader and
+//! ack-pump threads do the blocking reads (see [`link`](crate::link) module
+//! docs).  The event-ordering machinery —
 //! due-time heaps with insertion-order tie-break and the per-direction
 //! monotonic due-time clamp — is shared with
 //! [`ThreadedDriver`](rebeca_core::ThreadedDriver) via
@@ -51,8 +54,7 @@ use rebeca_sim::{Context, DelayModel, Incoming, Metrics, Node, NodeId, SimDurati
 
 use crate::endpoint::Endpoint;
 use crate::link::{
-    spawn_acceptor, spawn_writer, FaultPlan, Inbound, LinkConfig, LinkEvent, LinkRegistry,
-    WriterCmd,
+    spawn_acceptor, FaultPlan, Inbound, LinkConfig, LinkEvent, LinkHandle, LinkRegistry, Sent,
 };
 use crate::wire::Frame;
 
@@ -76,14 +78,14 @@ pub struct NetConfig {
     epoch: u64,
     /// Seed of the per-process link-delay sampling.
     seed: u64,
-    /// Idle interval after which a writer sends a heartbeat.
+    /// Interval without a write after which a link sends a heartbeat.
     heartbeat: Duration,
     /// Interval between dial attempts while a peer process is not up yet.
     dial_retry: Duration,
     /// Backoff cap for redials after a connection loss (the backoff starts
     /// at `dial_retry` and doubles with jitter up to this cap).
     redial_max: Duration,
-    /// Maximum unacknowledged frames a writer holds for replay across a
+    /// Maximum unacknowledged frames a link holds for replay across a
     /// reconnect; overflow fails the link loudly instead of losing frames.
     resend_window: usize,
     /// Heartbeat intervals of silence after which an inbound link is
@@ -154,7 +156,7 @@ impl NetConfig {
         self
     }
 
-    /// Sets the writer-idle heartbeat interval.
+    /// Sets the link-idle heartbeat interval.
     pub fn heartbeat(mut self, interval: Duration) -> Self {
         self.heartbeat = interval;
         self
@@ -225,26 +227,26 @@ pub struct TcpDriver {
     /// Send-side clamp for local-to-local deliveries.
     clamp_local: FifoClamp<(NodeId, NodeId)>,
     pending: HashMap<usize, PendingQueue>,
-    /// Outbound connections: `(local node, peer node)` → command queue.
-    writers: HashMap<(usize, usize), Sender<WriterCmd>>,
+    /// Outbound links: `(local node, peer node)` → the sending end.
+    links: HashMap<(usize, usize), LinkHandle>,
     /// When each peer was last heard from (any frame on an inbound
     /// connection) — the source of `last_heartbeat_age_ms` in status
     /// reports.
     last_seen: HashMap<usize, Instant>,
     /// Whether the outbound connection to a peer is currently established,
-    /// as reported by its writer thread.
+    /// as reported by its link.
     link_up: HashMap<usize, bool>,
     /// Peers declared down by heartbeat silence (cleared as soon as any
     /// frame arrives from them again).
     stale_links: HashSet<usize>,
     /// When each currently-down peer link went down (either direction).
     down_since: HashMap<usize, Instant>,
-    /// Lifetime redial attempts per peer, as reported by writer threads.
+    /// Lifetime redial attempts per peer, as reported by link keepers.
     redials: HashMap<usize, u64>,
     /// Next wall-clock instant at which heartbeat-silence liveness is
     /// re-evaluated (throttled to the heartbeat cadence).
     next_liveness: Instant,
-    /// A handle on the inbound event channel, handed to writer threads so
+    /// A handle on the inbound event channel, handed to links so
     /// they can report link state transitions.
     incoming_tx: Sender<Inbound>,
     incoming_rx: Receiver<Inbound>,
@@ -331,7 +333,7 @@ impl TcpDriver {
             clamp_in: FifoClamp::new(),
             clamp_local: FifoClamp::new(),
             pending: HashMap::new(),
-            writers: HashMap::new(),
+            links: HashMap::new(),
             last_seen: HashMap::new(),
             link_up: HashMap::new(),
             stale_links: HashSet::new(),
@@ -377,12 +379,12 @@ impl TcpDriver {
             .or_else(|| self.learned.get(&peer).cloned())
     }
 
-    /// Returns the writer channel for `(local, peer)`, spawning the
-    /// dial-and-pump thread on first use.  `None` while the peer's endpoint
-    /// is still unknown (a client that has not dialled in yet).
-    fn writer_for(&mut self, local: usize, peer: NodeId) -> Option<&Sender<WriterCmd>> {
+    /// Returns the link `(local, peer)`, spawning its keeper thread (which
+    /// dials the peer) on first use.  `None` while the peer's endpoint is
+    /// still unknown (a client that has not dialled in yet).
+    fn link_for(&mut self, local: usize, peer: NodeId) -> Option<&LinkHandle> {
         let key = (local, peer.index());
-        if !self.writers.contains_key(&key) {
+        if !self.links.contains_key(&key) {
             let target = self.endpoint_of(peer.index())?;
             let delay = self
                 .delays
@@ -396,8 +398,7 @@ impl TcpDriver {
                 listen: self.advertised.clone(),
                 delay,
             };
-            let (tx, rx) = channel();
-            spawn_writer(
+            let link = LinkHandle::spawn(
                 LinkConfig {
                     target,
                     peer,
@@ -409,14 +410,12 @@ impl TcpDriver {
                     epoch: self.cfg.epoch,
                     fault: self.cfg.fault,
                 },
-                rx,
-                tx.clone(),
                 self.incoming_tx.clone(),
                 self.shutdown.clone(),
             );
-            self.writers.insert(key, tx);
+            self.links.insert(key, link);
         }
-        self.writers.get(&key)
+        self.links.get(&key)
     }
 
     fn handle_inbound(&mut self, inbound: Inbound) {
@@ -578,14 +577,8 @@ impl TcpDriver {
                     self.metrics
                         .record_event(now, "link.admin_drop", format!("peer={peer}"));
                 }
-                let targets: Vec<_> = self
-                    .writers
-                    .iter()
-                    .filter(|(key, _)| key.1 == peer.index())
-                    .map(|(_, tx)| tx.clone())
-                    .collect();
-                for tx in targets {
-                    let _ = tx.send(WriterCmd::Drop);
+                for (_, link) in self.links.iter().filter(|(key, _)| key.1 == peer.index()) {
+                    link.drop_connection();
                 }
             }
             Inbound::Status {
@@ -761,7 +754,7 @@ impl TcpDriver {
     }
 
     /// Link liveness for one hosted broker: its neighbours, with connection
-    /// state from the writer threads and freshness from inbound traffic.
+    /// state from the links and freshness from inbound traffic.
     fn links_of(&self, index: usize) -> Vec<LinkStatus> {
         self.neighbours
             .get(&index)
@@ -818,14 +811,16 @@ impl TcpDriver {
     }
 
     /// Routes one harvested send: straight into a local queue, or framed
-    /// onto the peer's connection.
+    /// onto the peer's link (written by this loop when the socket takes
+    /// it).  A send to a node without a link is counted and journaled, not
+    /// a panic.
     fn send_from(&mut self, from: usize, to: NodeId, at: SimTime, message: rebeca_broker::Message) {
         let from_id = NodeId::new(from);
-        let delay = self
-            .delays
-            .get(&(from_id, to))
-            .unwrap_or_else(|| panic!("no link {from_id} -> {to}"))
-            .sample(&mut self.rng);
+        let Some(model) = self.delays.get(&(from_id, to)).copied() else {
+            self.unroutable(from_id, to);
+            return;
+        };
+        let delay = model.sample(&mut self.rng);
         self.metrics.incr("network.messages");
         if self.is_local(to.index()) {
             let due = self.clamp_local.clamp((from_id, to), at + delay);
@@ -839,33 +834,43 @@ impl TcpDriver {
                         message,
                     },
                 );
-        } else {
-            self.record_link_span("link.tx", from as u64, from_id, to, &message);
-            let frame = Frame::Message {
-                from: from_id,
-                to,
-                delay_micros: delay.as_micros(),
-                // The writer thread assigns the real per-direction sequence
-                // number when it pops the frame for transmission.
-                seq: 0,
-                message,
-            };
-            match self.writer_for(from, to) {
-                Some(tx) => {
-                    // A send only fails when the writer thread is gone for
-                    // good: driver teardown, a fenced link, or a resend
-                    // window overflow. Transient disconnects never reject
-                    // sends — the writer queues and replays them itself.
-                    if tx.send(WriterCmd::Frame(frame)).is_ok() {
-                        self.metrics.incr("net.frames_out");
-                    } else {
-                        self.metrics.incr("net.frames_dropped");
-                    }
-                }
-                None => {
-                    self.metrics.incr("net.frames_unroutable");
-                }
+            return;
+        }
+        self.record_link_span("link.tx", from as u64, from_id, to, &message);
+        let frame = Frame::Message {
+            from: from_id,
+            to,
+            delay_micros: delay.as_micros(),
+            // The link assigns the real per-direction sequence number.
+            seq: 0,
+            message,
+        };
+        let Some(link) = self.link_for(from, to) else {
+            self.unroutable(from_id, to);
+            return;
+        };
+        // A send is only dropped once the link is gone for good: a fenced
+        // link, a resend window overflow, or an unsplittable frame.
+        // Transient disconnects never reject sends — the link queues and
+        // replays them itself.
+        match link.send(frame) {
+            Sent::Accepted => self.metrics.incr("net.frames_out"),
+            Sent::HandedOff => {
+                self.metrics.incr("net.frames_out");
+                self.metrics.incr("net.writes_handed_off");
             }
+            Sent::Dropped => self.metrics.incr("net.frames_dropped"),
+        }
+    }
+
+    /// Counts and journals a send this process cannot route: no link
+    /// between the two nodes, or a peer whose endpoint is still unknown.
+    fn unroutable(&mut self, from: NodeId, to: NodeId) {
+        self.metrics.incr("net.frames_unroutable");
+        if self.metrics.journal_enabled() {
+            let now = self.clock.now();
+            self.metrics
+                .record_event(now, "link.unroutable", format!("from={from} to={to}"));
         }
     }
 
@@ -987,8 +992,8 @@ impl Driver for TcpDriver {
                 if !self.is_local(y.index()) {
                     // Dial eagerly when the peer endpoint is already known
                     // (a broker); a client peer's endpoint arrives with its
-                    // handshake and the writer spawns on first send.
-                    self.writer_for(x.index(), y);
+                    // handshake and the link spawns on first send.
+                    self.link_for(x.index(), y);
                 }
             }
         }
@@ -1118,10 +1123,8 @@ impl Driver for TcpDriver {
 impl Drop for TcpDriver {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Closing the frame queues ends the writer threads.
-        self.writers.clear();
-        // Wake the acceptor out of its poll loop, then join it; readers
-        // notice the flag within their read timeout on their own.
+        // Wake the acceptor out of its poll loop, then join it; keepers,
+        // ack pumps and readers notice the flag on their own.
         let _ = TcpStream::connect(self.wake_addr);
         if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
@@ -1135,7 +1138,7 @@ impl std::fmt::Debug for TcpDriver {
             .field("listen", &self.advertised)
             .field("local_nodes", &self.nodes.len())
             .field("remote_nodes", &self.placeholders.len())
-            .field("connections_out", &self.writers.len())
+            .field("connections_out", &self.links.len())
             .field(
                 "pending",
                 &self.pending.values().map(|q| q.len()).sum::<usize>(),

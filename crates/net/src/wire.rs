@@ -32,7 +32,7 @@
 //! names the sending node, the node the connection feeds, the sender's
 //! restart epoch, the listen endpoint a reverse connection can dial back,
 //! and the link's delay model.  [`Frame::Heartbeat`]s flow whenever a
-//! writer has been idle for the configured interval, keeping NATs and
+//! link has not written for the configured interval, keeping NATs and
 //! liveness checks happy.
 //!
 //! # Self-healing links
@@ -40,7 +40,7 @@
 //! [`Frame::Message`] carries a per-direction monotonic sequence number
 //! (`seq`, starting at 1; 0 means "unsequenced" and is skipped by the
 //! resend machinery).  The reader acknowledges progress with cumulative
-//! [`Frame::Ack`] frames written back onto the same connection; the writer
+//! [`Frame::Ack`] frames written back onto the same connection; the sender
 //! keeps the unacknowledged suffix and replays it after a reconnect, while
 //! the reader drops any sequence number at or below its high-water mark —
 //! preserving the error-free FIFO link contract of the paper's Section 2.1
@@ -192,7 +192,7 @@ pub enum Frame {
         /// distribution for its own sends back over this link.
         delay: DelayModel,
     },
-    /// Liveness beacon sent by an idle writer.
+    /// Liveness beacon sent by an idle link.
     Heartbeat {
         /// The sender's restart epoch.
         epoch: u64,
@@ -207,8 +207,8 @@ pub enum Frame {
         /// top of the real network latency (clamped per direction to keep
         /// the link FIFO).
         delay_micros: u64,
-        /// Per-direction monotonic sequence number assigned by the writer
-        /// thread (starting at 1).  `0` marks an unsequenced frame: it
+        /// Per-direction monotonic sequence number assigned by the sending
+        /// link (starting at 1).  `0` marks an unsequenced frame: it
         /// bypasses the resend window and duplicate suppression.
         seq: u64,
         /// The protocol message.
@@ -216,7 +216,7 @@ pub enum Frame {
     },
     /// Cumulative acknowledgement written by a reader back onto the
     /// connection it serves: every sequenced [`Frame::Message`] with
-    /// `seq <= ack` has been received, so the writer may drop it from its
+    /// `seq <= ack` has been received, so the sender may drop it from its
     /// resend window.
     Ack {
         /// The reader's receive high-water mark for this direction.

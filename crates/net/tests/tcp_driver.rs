@@ -651,3 +651,288 @@ fn step_dispatches_a_due_event_instead_of_reporting_idle() {
         );
     }
 }
+
+/// Hostile input: a node sending to a node it has no link to is counted in
+/// `net.frames_unroutable` and journaled — the driver does not panic.
+#[test]
+fn a_send_to_a_non_neighbour_is_counted_not_a_panic() {
+    use rebeca_broker::BrokerRole;
+    use rebeca_core::{
+        ClientAction, ClientNode, Driver, LogicalMobilityMode, MobileBroker, SystemNode,
+    };
+    use rebeca_sim::NodeId;
+
+    let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let port = probe.local_addr().unwrap().port();
+    drop(probe);
+    let mut driver = TcpDriver::new(
+        NetConfig::new(vec![Endpoint::new("127.0.0.1", port)])
+            .host(0)
+            .seed(81),
+    )
+    .expect("driver binds");
+    let config = common::broker_config();
+    let graph = config.movement_graph.clone();
+    let broker = driver.add_node(SystemNode::Broker(MobileBroker::new(
+        NodeId::new(0),
+        BrokerRole::Border,
+        Vec::new(),
+        config,
+    )));
+    // A client scripted to attach to broker 0, but never linked to it.
+    let client = driver.add_node(SystemNode::Client(ClientNode::new(
+        CONSUMER,
+        vec![ClientAction::Attach { broker }],
+        LogicalMobilityMode::LocationDependent,
+        graph,
+    )));
+    let now = driver.now();
+    driver.schedule_timer(client, now, 0);
+    driver.run_until(now + SimDuration::from_millis(20));
+
+    assert_eq!(driver.metrics().counter("net.frames_unroutable"), 1);
+    assert_eq!(driver.metrics().counter("network.messages"), 0);
+    let journal: Vec<String> = driver
+        .metrics()
+        .journal()
+        .events()
+        .filter(|e| e.kind == "link.unroutable")
+        .map(|e| e.detail.clone())
+        .collect();
+    assert_eq!(journal, vec![format!("from={client} to={broker}")]);
+}
+
+/// One frame read off a raw connection: the sender and sequence number of a
+/// protocol message, plus how many notifications a `PublishBatch` carried.
+struct RawFrame {
+    from: usize,
+    seq: u64,
+    batch: Option<usize>,
+}
+
+/// The raw side of one connection the driver dialled: decodes the `Hello`
+/// and every message frame; never acknowledges anything.
+struct RawConn {
+    stream: std::net::TcpStream,
+    buf: Vec<u8>,
+    frames: Vec<RawFrame>,
+}
+
+impl RawConn {
+    /// Reads whatever the socket holds right now; returns the byte count.
+    fn pump(&mut self) -> usize {
+        use rebeca_net::wire::Frame;
+        use std::io::Read;
+        let mut chunk = [0u8; 64 * 1024];
+        let mut total = 0;
+        loop {
+            match self.stream.read(&mut chunk) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => {
+                    total += n;
+                    self.buf.extend_from_slice(&chunk[..n]);
+                }
+            }
+        }
+        let mut consumed = 0;
+        while let Ok((frame, used)) = Frame::decode_framed(&self.buf[consumed..]) {
+            consumed += used;
+            if let Frame::Message {
+                from, seq, message, ..
+            } = frame
+            {
+                let batch = match message {
+                    rebeca_broker::Message::PublishBatch { notifications, .. } => {
+                        Some(notifications.len())
+                    }
+                    _ => None,
+                };
+                self.frames.push(RawFrame {
+                    from: from.index(),
+                    seq,
+                    batch,
+                });
+            }
+        }
+        self.buf.drain(..consumed);
+        total
+    }
+}
+
+/// A slow peer never wedges the driver loop.  A raw listener stands in for
+/// broker 1: it accepts the driver's connections but does not read, while a
+/// client of broker 1 publishes large batches until the socket buffers are
+/// full.  Every `run_until(now + 10 ms)` still returns promptly, and a
+/// consumer on the local broker keeps receiving its events.  Once the peer
+/// reads, every frame arrives in sequence order with no gap and no
+/// duplicate; a peer that never acknowledges still ends in a loud
+/// resend-window overflow.
+#[test]
+fn slow_peer_never_wedges_the_driver_loop() {
+    use std::time::Instant;
+
+    const BATCHES: usize = 120;
+    const BATCH_LEN: usize = 64;
+    const LOCAL_PUBS: u64 = 40;
+
+    let peer = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let peer_port = peer.local_addr().unwrap().port();
+    let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let own_port = probe.local_addr().unwrap().port();
+    drop(probe);
+    let endpoints = vec![
+        Endpoint::new("127.0.0.1", own_port),
+        Endpoint::new("127.0.0.1", peer_port),
+    ];
+    let mut sys = SystemBuilder::new(&Topology::line(2))
+        .link_delay(DelayModel::Constant(0))
+        .build_tcp(NetConfig::new(endpoints).host(0).seed(91))
+        .expect("system builds");
+
+    // Every pump of the loop must come back promptly, whatever the peer.
+    fn step(sys: &mut MobilitySystem) {
+        let started = Instant::now();
+        let now = sys.now();
+        sys.run_until(now + SimDuration::from_millis(10));
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(50),
+            "a run_until(now + 10ms) took {took:?} behind a slow peer"
+        );
+    }
+
+    // Broker 0 serves a local consumer and publisher; the remote producer
+    // talks to broker 1 — the raw listener that does not read.
+    let consumer = sys.connect(CONSUMER, 0).expect("consumer");
+    consumer
+        .subscribe(&mut sys, common::parking_filter())
+        .expect("subscribe");
+    let local = sys
+        .connect(rebeca_broker::ClientId::new(3), 0)
+        .expect("local publisher");
+    let remote = sys.connect(PRODUCER, 1).expect("remote producer");
+    for _ in 0..5 {
+        step(&mut sys);
+    }
+
+    // Phase 1: big batches towards the silent peer, local traffic beside.
+    let blob = "x".repeat(1024);
+    let batch = |round: usize| -> Vec<rebeca_filter::Notification> {
+        (0..BATCH_LEN)
+            .map(|i| {
+                rebeca_filter::Notification::builder()
+                    .attr("round", round as i64)
+                    .attr("item", i as i64)
+                    .attr("blob", blob.as_str())
+                    .build()
+            })
+            .collect()
+    };
+    let mut local_sent = 0;
+    for round in 0..BATCHES {
+        remote
+            .publish_batch(&mut sys, batch(round))
+            .expect("publish batch");
+        if round % 3 == 0 && local_sent < LOCAL_PUBS {
+            local_sent += 1;
+            local
+                .publish(&mut sys, common::vacancy(local_sent))
+                .expect("local publish");
+        }
+        step(&mut sys);
+    }
+    for _ in 0..10 {
+        step(&mut sys);
+    }
+    assert!(
+        sys.metrics().counter("net.writes_handed_off") >= 1,
+        "the socket buffer never filled: the test did not exercise a slow peer"
+    );
+    let received = consumer.log(&sys).expect("consumer log").len() as u64;
+    assert_eq!(
+        received, local_sent,
+        "the local consumer kept receiving while the peer was stalled"
+    );
+
+    // Phase 2: the peer starts reading (but never acknowledges).
+    peer.set_nonblocking(true).unwrap();
+    let mut conns: Vec<RawConn> = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let remote_batches = |conns: &[RawConn]| -> usize {
+        conns
+            .iter()
+            .flat_map(|c| &c.frames)
+            .filter(|f| f.batch.is_some())
+            .count()
+    };
+    let mut quiet_rounds = 0;
+    while quiet_rounds < 20 {
+        assert!(Instant::now() < deadline, "the backlog never drained");
+        while let Ok((stream, _)) = peer.accept() {
+            stream.set_nonblocking(true).unwrap();
+            conns.push(RawConn {
+                stream,
+                buf: Vec::new(),
+                frames: Vec::new(),
+            });
+        }
+        let read: usize = conns.iter_mut().map(RawConn::pump).sum();
+        step(&mut sys);
+        let done = remote_batches(&conns) == BATCHES;
+        quiet_rounds = if done && read == 0 {
+            quiet_rounds + 1
+        } else {
+            0
+        };
+    }
+    assert_eq!(conns.len(), 2, "broker 0 and the remote producer dialled");
+    for conn in &conns {
+        let seqs: Vec<u64> = conn.frames.iter().map(|f| f.seq).collect();
+        assert_eq!(
+            seqs,
+            (1..=seqs.len() as u64).collect::<Vec<_>>(),
+            "frames arrive in sequence order with no gap and no duplicate"
+        );
+        assert!(conn.frames.windows(2).all(|w| w[0].from == w[1].from));
+    }
+    let sizes: Vec<usize> = conns
+        .iter()
+        .flat_map(|c| &c.frames)
+        .filter_map(|f| f.batch)
+        .collect();
+    assert_eq!(sizes, vec![BATCH_LEN; BATCHES], "every batch arrived whole");
+    assert_eq!(sys.metrics().counter("net.link_failed"), 0);
+
+    // Phase 3: a peer that reads but never acknowledges overflows the
+    // resend window, loudly.
+    let mut published = 0u64;
+    while sys.metrics().counter("net.link_failed") == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "no loud failure from a peer that never acks"
+        );
+        for _ in 0..50 {
+            published += 1;
+            remote
+                .publish(&mut sys, common::vacancy(published))
+                .expect("publish");
+        }
+        step(&mut sys);
+        for conn in &mut conns {
+            conn.pump();
+        }
+    }
+    let failures: Vec<String> = sys
+        .metrics()
+        .journal()
+        .events()
+        .filter(|e| e.kind == "link.failed")
+        .map(|e| e.detail.clone())
+        .collect();
+    assert!(
+        failures
+            .iter()
+            .any(|d| d.contains("resend window overflow")),
+        "overflow journaled, got {failures:?}"
+    );
+}
