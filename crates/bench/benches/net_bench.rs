@@ -1,6 +1,7 @@
 //! Loopback TCP transport bench: publish→deliver throughput and relocation
-//! latency of [`TcpDriver`] vs the in-process [`ThreadedDriver`], plus the
-//! cost of surviving forced connection drops (`net/reconnect`).
+//! latency of [`TcpDriver`] vs the same event loop in process
+//! (`build_threaded()`, the `threaded` ids), plus the cost of surviving
+//! forced connection drops (`net/reconnect`).
 //!
 //! One iteration = one full wall-clock deployment run: build the system(s),
 //! settle the subscription, publish `PUBLICATIONS` vacancies (relocating

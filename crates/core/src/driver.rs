@@ -15,13 +15,16 @@
 //! * [`SimDriver`] — the deterministic discrete-event simulator of
 //!   `rebeca-sim` (virtual time, seeded delays, single-threaded).  This is
 //!   the testbed every protocol test runs on.
-//! * [`ThreadedDriver`](crate::ThreadedDriver) — a wall-clock, in-process
-//!   deployment: one thread per node, `std::sync::mpsc` channels as FIFO
-//!   links, real [`std::time::Instant`] timers.  No async runtime required.
+//! * [`WallDriver`](crate::WallDriver) — one single-threaded wall-clock
+//!   event loop with real [`std::time::Instant`] timers.  Its
+//!   [`Transport`](crate::Transport) decides where nodes live: all in this
+//!   process under
+//!   [`SystemBuilder::build_threaded`](crate::SystemBuilder::build_threaded),
+//!   or spread over processes joined by TCP links in `rebeca-net`.  No
+//!   async runtime required.
 //!
 //! [`MobilitySystem`](crate::MobilitySystem) is written against the trait
-//! only, so a future network transport (a tokio reactor, an io_uring loop, a
-//! process-per-broker harness) plugs in by implementing [`Driver`] without
+//! only, so another event loop plugs in by implementing [`Driver`] without
 //! touching the protocol code.
 
 use rebeca_obs::StatusReport;
@@ -60,9 +63,9 @@ pub trait Driver: Send {
     /// time since construction for wall-clock drivers.
     fn now(&self) -> SimTime;
 
-    /// Processes a single event if one is due.  Returns `false` when there
-    /// was nothing to do.  Wall-clock drivers interpret this as a minimal
-    /// forward step rather than exactly one event.
+    /// Processes exactly one event: the earliest pending one, which
+    /// wall-clock drivers first wait for until it is due.  Returns `false`
+    /// when nothing was pending.
     fn step(&mut self) -> bool;
 
     /// Runs the event loop until the driver's clock reaches `until`.

@@ -1,20 +1,17 @@
-//! Shared machinery for wall-clock [`Driver`](crate::Driver)
-//! implementations.
+//! Helpers shared by every [`Driver`](crate::Driver) implementation, and
+//! the event-ordering machinery of the wall-clock loop.
 //!
-//! The [`ThreadedDriver`](crate::ThreadedDriver) (in-process, one thread per
-//! node) and the TCP transport of `rebeca-net` (process-per-broker) host the
-//! same sans-IO nodes under the same transport contract: FIFO links per
-//! direction, timers firing in tag order at or after their deadline, a
-//! wall clock reported as [`SimTime`].  This module is the single home of
-//! the pieces both need, so fixes to the ordering rules (for example the
-//! PR 4 FIFO tie-break fix) cannot silently diverge between drivers:
+//! [`broker_status`] and [`in_process_links`] build the status-plane entry
+//! of a hosted broker, so the report shape cannot diverge between the
+//! simulator, the wall-clock loop and drivers outside this crate.
 //!
-//! * [`PendingEvent`] / [`PendingQueue`] — a due-time-ordered event heap
-//!   whose sequence numbers break ties in *insertion* order, including
-//!   across run phases (the queue's counter only moves forward);
-//! * [`FifoClamp`] — the per-direction monotonic due-time clamp that keeps
-//!   a link FIFO even when random delay sampling would reorder messages;
-//! * [`WallClock`] — the `Instant` ↔ [`SimTime`] mapping of a run phase.
+//! The crate-private rest keeps the loop's ordering rules in one place:
+//!
+//! * `PendingQueue` — a due-time-ordered event heap whose sequence numbers
+//!   break ties in insertion order;
+//! * `FifoClamp` — the per-direction monotonic due-time clamp that keeps a
+//!   link FIFO even when random delay sampling would reorder messages;
+//! * `WallClock` — the `Instant` ↔ [`SimTime`] mapping of a run.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -29,16 +26,15 @@ use crate::mobile_broker::{MobileBroker, HANDOFF_LATENCY_HISTOGRAM};
 
 /// Builds the status-plane entry for one hosted broker from its live state
 /// and the driver's metrics store — shared by every [`Driver`](crate::Driver)
-/// implementation (and the TCP driver of `rebeca-net`), so the report shape
-/// cannot diverge between the simulator and a deployment.
+/// implementation, so the report shape cannot diverge between the simulator
+/// and a deployment.
 ///
-/// `restart_epoch` is driver-defined (the WAL recovery generation for the
-/// in-process drivers, `max(process epoch, generation)` under TCP); `links`
+/// `restart_epoch` is driver-defined (the WAL recovery generation in
+/// process, `max(process epoch, generation)` under TCP); `links`
 /// likewise (always-connected entries in process, live socket state under
 /// TCP).  The hand-off latency histogram and the `mobility.*` counters come
 /// from the driver-wide `metrics` store, which is per-process — and thus
-/// per-broker — under the TCP deployment, and cluster-wide under the
-/// in-process drivers.
+/// per-broker — under the TCP deployment, and cluster-wide in process.
 pub fn broker_status(
     index: u64,
     broker: &MobileBroker,
@@ -100,14 +96,14 @@ pub fn in_process_links(broker: &MobileBroker) -> Vec<LinkStatus> {
 
 /// One event waiting to be delivered to a node, stamped with the absolute
 /// driver time at which it becomes due and a tie-breaking sequence number.
-#[derive(Debug, Clone)]
-pub struct PendingEvent {
+#[derive(Debug)]
+pub(crate) struct PendingEvent {
     /// Absolute driver time at which the event becomes due.
-    pub due: SimTime,
+    pub(crate) due: SimTime,
     /// Tie-break: events with equal due times dispatch in insertion order.
-    pub seq: u64,
+    seq: u64,
     /// The event itself.
-    pub event: Incoming<Message>,
+    pub(crate) event: Incoming<Message>,
 }
 
 impl PartialEq for PendingEvent {
@@ -132,35 +128,29 @@ impl Ord for PendingEvent {
 /// The queue assigns its own monotonically increasing sequence numbers, so
 /// two events with the same clamped due time always dispatch in the order
 /// they were pushed — the FIFO tie-break the link contract requires.  The
-/// counter travels *with* the queue when ownership moves between loops
-/// (e.g. from the driver into a phase worker and back), so carried-over
-/// events always win ties against events pushed later.
+/// counter travels *with* the queue, so events already queued always win
+/// ties against events pushed later.
 #[derive(Debug, Default)]
-pub struct PendingQueue {
+pub(crate) struct PendingQueue {
     heap: BinaryHeap<Reverse<PendingEvent>>,
     seq: u64,
 }
 
 impl PendingQueue {
-    /// Creates an empty queue whose sequence counter starts at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Pushes an event due at `due`, assigning the next sequence number.
-    pub fn push(&mut self, due: SimTime, event: Incoming<Message>) {
+    pub(crate) fn push(&mut self, due: SimTime, event: Incoming<Message>) {
         self.seq += 1;
         let seq = self.seq;
         self.heap.push(Reverse(PendingEvent { due, seq, event }));
     }
 
     /// The earliest due time, if any event is pending.
-    pub fn next_due(&self) -> Option<SimTime> {
+    pub(crate) fn next_due(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(p)| p.due)
     }
 
     /// Pops the earliest event if it is due at or before `now`.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<PendingEvent> {
+    pub(crate) fn pop_due(&mut self, now: SimTime) -> Option<PendingEvent> {
         if self.heap.peek().is_some_and(|Reverse(p)| p.due <= now) {
             self.heap.pop().map(|Reverse(p)| p)
         } else {
@@ -169,31 +159,22 @@ impl PendingQueue {
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    /// `true` when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
 /// The per-direction monotonic due-time clamp: arrival times on one link
 /// direction never decrease, which preserves the FIFO link contract of the
 /// paper's system model (Section 2.1) even under random delay models.
-///
-/// The key type is chosen by the caller: a per-node worker clamps by
-/// destination (`K = NodeId`), a central event loop by directed pair
-/// (`K = (NodeId, NodeId)`).
-#[derive(Debug, Clone, Default)]
-pub struct FifoClamp<K: Eq + Hash> {
+#[derive(Debug)]
+pub(crate) struct FifoClamp<K> {
     last_due: HashMap<K, SimTime>,
 }
 
 impl<K: Eq + Hash> FifoClamp<K> {
     /// Creates an empty clamp (every direction starts at time zero).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             last_due: HashMap::new(),
         }
@@ -201,38 +182,11 @@ impl<K: Eq + Hash> FifoClamp<K> {
 
     /// Clamps `due` for the given direction: returns `max(due, last)` and
     /// records the result as the direction's new watermark.
-    pub fn clamp(&mut self, key: K, due: SimTime) -> SimTime {
+    pub(crate) fn clamp(&mut self, key: K, due: SimTime) -> SimTime {
         let entry = self.last_due.entry(key).or_insert(SimTime::ZERO);
         let clamped = due.max(*entry);
         *entry = clamped;
         clamped
-    }
-
-    /// Raises a direction's watermark to `due` if it is behind (used when
-    /// merging per-worker clamps back into a driver-wide one).
-    pub fn raise(&mut self, key: K, due: SimTime) {
-        let entry = self.last_due.entry(key).or_insert(SimTime::ZERO);
-        if due > *entry {
-            *entry = due;
-        }
-    }
-
-    /// The current watermark of a direction (time zero when never used).
-    pub fn watermark(&self, key: &K) -> SimTime {
-        self.last_due.get(key).copied().unwrap_or(SimTime::ZERO)
-    }
-
-    /// Consumes the clamp, yielding every `(direction, watermark)` pair.
-    pub fn into_watermarks(self) -> impl Iterator<Item = (K, SimTime)> {
-        self.last_due.into_iter()
-    }
-}
-
-impl<K: Eq + Hash> FromIterator<(K, SimTime)> for FifoClamp<K> {
-    fn from_iter<I: IntoIterator<Item = (K, SimTime)>>(iter: I) -> Self {
-        Self {
-            last_due: iter.into_iter().collect(),
-        }
     }
 }
 
@@ -240,36 +194,34 @@ impl<K: Eq + Hash> FromIterator<(K, SimTime)> for FifoClamp<K> {
 /// time corresponds to `started` on the wall clock, microsecond for
 /// microsecond.
 #[derive(Debug, Clone, Copy)]
-pub struct WallClock {
+pub(crate) struct WallClock {
     started: Instant,
     base: SimTime,
 }
 
 impl WallClock {
-    /// Anchors sim time `base` at wall instant `started`.
-    pub fn new(started: Instant, base: SimTime) -> Self {
-        Self { started, base }
-    }
-
     /// Anchors sim time `base` at the current instant.
-    pub fn anchored_now(base: SimTime) -> Self {
-        Self::new(Instant::now(), base)
+    pub(crate) fn anchored_now(base: SimTime) -> Self {
+        Self {
+            started: Instant::now(),
+            base,
+        }
     }
 
     /// The wall instant corresponding to a sim time (times before the base
     /// map to the anchor instant).
-    pub fn to_wall(&self, t: SimTime) -> Instant {
+    pub(crate) fn to_wall(self, t: SimTime) -> Instant {
         self.started + Duration::from_micros(t.since(self.base).as_micros())
     }
 
     /// The sim time corresponding to a wall instant (instants before the
     /// anchor map to the base time).
-    pub fn to_sim(&self, i: Instant) -> SimTime {
+    pub(crate) fn to_sim(self, i: Instant) -> SimTime {
         self.base + SimDuration::from_micros(i.duration_since(self.started).as_micros() as u64)
     }
 
     /// The sim time of the current instant.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(self) -> SimTime {
         self.to_sim(Instant::now())
     }
 }
@@ -284,7 +236,7 @@ mod tests {
 
     #[test]
     fn queue_orders_by_due_then_insertion() {
-        let mut q = PendingQueue::new();
+        let mut q = PendingQueue::default();
         q.push(SimTime::from_millis(5), timer(1));
         q.push(SimTime::from_millis(1), timer(2));
         q.push(SimTime::from_millis(5), timer(3));
@@ -299,12 +251,12 @@ mod tests {
         .collect();
         // Equal due times (tags 1 and 3) dispatch in insertion order.
         assert_eq!(order, vec![2, 1, 3]);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn pop_due_respects_the_deadline() {
-        let mut q = PendingQueue::new();
+        let mut q = PendingQueue::default();
         q.push(SimTime::from_millis(10), timer(1));
         assert!(q.pop_due(SimTime::from_millis(9)).is_none());
         assert!(q.pop_due(SimTime::from_millis(10)).is_some());
@@ -312,13 +264,13 @@ mod tests {
 
     #[test]
     fn carried_events_win_ties_against_later_pushes() {
-        // The counter travels with the queue, so an event queued "in an
-        // earlier phase" keeps its tie-break priority over one pushed at
-        // the same due time later.
+        // The counter travels with the queue, so an event queued before a
+        // move keeps its tie-break priority over one pushed at the same due
+        // time later.
         fn hand_over(queue: PendingQueue) -> PendingQueue {
-            queue // ownership moves (driver -> worker); the counter travels
+            queue // ownership moves; the counter travels
         }
-        let mut q = PendingQueue::new();
+        let mut q = PendingQueue::default();
         q.push(SimTime::from_millis(1), timer(1));
         let mut q = hand_over(q);
         q.push(SimTime::from_millis(1), timer(2));
@@ -345,18 +297,6 @@ mod tests {
             clamp.clamp(8, SimTime::from_millis(4)),
             SimTime::from_millis(4)
         );
-        assert_eq!(clamp.watermark(&7), SimTime::from_millis(10));
-        assert_eq!(clamp.watermark(&99), SimTime::ZERO);
-    }
-
-    #[test]
-    fn clamp_merges_via_raise() {
-        let mut driver_wide: FifoClamp<(u32, u32)> = FifoClamp::new();
-        driver_wide.raise((1, 2), SimTime::from_millis(5));
-        driver_wide.raise((1, 2), SimTime::from_millis(3)); // behind: no-op
-        assert_eq!(driver_wide.watermark(&(1, 2)), SimTime::from_millis(5));
-        let pairs: Vec<_> = driver_wide.into_watermarks().collect();
-        assert_eq!(pairs, vec![((1, 2), SimTime::from_millis(5))]);
     }
 
     #[test]

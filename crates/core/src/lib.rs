@@ -24,9 +24,10 @@
 //!   [`MobilitySystem::run_until`]) or through pre-arranged scripts
 //!   ([`ClientNode`], a thin adapter over the session machinery).
 //! * Two [`Driver`] implementations: [`SimDriver`] (the deterministic
-//!   discrete-event testbed) and [`ThreadedDriver`] (wall clock, one thread
-//!   per node, std channels — the first deployment mode without the
-//!   simulator, and the template for real network transports).
+//!   discrete-event testbed) and [`WallDriver`] (one single-threaded
+//!   wall-clock event loop over a [`Transport`]: every node in process under
+//!   [`SystemBuilder::build_threaded`], TCP links between processes in
+//!   `rebeca-net`).
 //!
 //! # Quick start
 //!
@@ -72,7 +73,7 @@ mod error;
 mod mobile_broker;
 mod session;
 mod system;
-mod threaded;
+mod wall;
 
 pub use client::{ClientAction, ClientNode, LogicalMobilityMode};
 pub use driver::{Driver, SimDriver};
@@ -81,7 +82,7 @@ pub use mobile_broker::{BrokerConfig, MobileBroker, HANDOFF_LATENCY_HISTOGRAM};
 pub use rebeca_obs::{BrokerStatus, LinkStatus, ObsEvent, StatusReport};
 pub use session::Session;
 pub use system::{MobilitySystem, SystemBuilder, SystemNode};
-pub use threaded::ThreadedDriver;
+pub use wall::{Transport, WallDriver, WallState};
 
 // Re-exported so deployments can configure durability and inspect relocation
 // phases without depending on `rebeca-mobility` directly.

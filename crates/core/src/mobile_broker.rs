@@ -1751,6 +1751,16 @@ impl Node for MobileBroker {
                     } => {
                         out = self.handle_location_update(sub_id, location, hop, from, ctx);
                     }
+                    // Broker-to-client traffic has no meaning at a broker:
+                    // a misbehaving peer must not be able to stop it.
+                    rejected @ (Message::Deliver(_) | Message::DeliverBatch(_)) => {
+                        ctx.metrics().incr("broker.rejected");
+                        if ctx.metrics().journal_enabled() {
+                            let now = ctx.now();
+                            let detail = format!("kind={} from={from}", rejected.kind_name());
+                            ctx.metrics().record_event(now, "broker.rejected", detail);
+                        }
+                    }
                     other => {
                         let now = ctx.now().as_micros();
                         out = self.run_core(from, other, now);

@@ -4,8 +4,8 @@
 //! examples, the integration tests and the experiment harness.  It hosts one
 //! [`MobileBroker`] per node of a [`Topology`] on a sans-IO
 //! [`Driver`](crate::Driver) — the deterministic discrete-event simulator by
-//! default, the wall-clock [`ThreadedDriver`](crate::ThreadedDriver) on
-//! request — and exposes two ways to run clients:
+//! default, the wall-clock [`WallDriver`](crate::WallDriver) on request — and
+//! exposes two ways to run clients:
 //!
 //! * **interactive sessions** ([`MobilitySystem::connect`] →
 //!   [`Session`](crate::Session)): imperative subscribe/publish/move calls
@@ -36,7 +36,7 @@ use crate::driver::{Driver, SimDriver};
 use crate::error::RebecaError;
 use crate::mobile_broker::{BrokerConfig, MobileBroker};
 use crate::session::Session;
-use crate::threaded::ThreadedDriver;
+use crate::wall::{InProcess, WallDriver};
 
 /// A node of the deployment: either a broker or a client.
 #[derive(Debug, Clone)]
@@ -172,11 +172,11 @@ impl SystemBuilder {
         self.build_with(driver)
     }
 
-    /// Builds the system on the wall-clock
-    /// [`ThreadedDriver`](crate::ThreadedDriver): one thread per node, std
-    /// channels as links, real `Instant` timers.
+    /// Builds the system on the wall-clock [`WallDriver`](crate::WallDriver)
+    /// with every node in this process: one single-threaded event loop, real
+    /// `Instant` timers, links that are in-memory queues.
     pub fn build_threaded(self) -> Result<MobilitySystem, RebecaError> {
-        let driver = Box::new(ThreadedDriver::new(self.seed));
+        let driver = Box::new(WallDriver::new(InProcess, self.seed));
         self.build_with(driver)
     }
 
@@ -445,8 +445,8 @@ impl MobilitySystem {
         self.driver.run_until(until)
     }
 
-    /// Processes a single due event (a minimal forward step on wall-clock
-    /// drivers).  Returns `false` when nothing was pending.
+    /// Processes the earliest pending event, on wall-clock drivers after
+    /// waiting until it is due.  Returns `false` when nothing was pending.
     pub fn step(&mut self) -> bool {
         self.driver.step()
     }

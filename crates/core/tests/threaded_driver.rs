@@ -1,6 +1,6 @@
-//! Wall-clock smoke tests for the `ThreadedDriver`: the identical protocol
-//! code that runs on the discrete-event simulator runs on real threads,
-//! channels and `Instant` timers — and keeps the paper's delivery
+//! Wall-clock smoke tests for `build_threaded()`: the identical protocol
+//! code that runs on the discrete-event simulator runs on the wall-clock
+//! event loop with real `Instant` timers — and keeps the paper's delivery
 //! guarantees across a relocation.
 //!
 //! These tests sleep real milliseconds by construction; they are sized to
@@ -67,7 +67,7 @@ fn relocation_is_lossless_on_the_wall_clock() {
 }
 
 /// The mailbox polls incrementally between wall-clock phases, and the
-/// metrics merged from the worker threads count the deliveries.
+/// driver's metrics count the deliveries.
 #[test]
 fn mailbox_and_metrics_work_between_phases() {
     let mut sys = SystemBuilder::new(&Topology::line(2))
@@ -94,4 +94,24 @@ fn mailbox_and_metrics_work_between_phases() {
 
     assert_eq!(sys.metrics().counter("client.delivered"), 2);
     assert!(consumer.poll_deliveries(&mut sys).unwrap().is_empty());
+}
+
+/// `step()` dispatches the earliest pending event, waiting for it if
+/// needed, instead of racing a tiny run window against the wall clock and
+/// reporting idle while an event is queued.
+#[test]
+fn step_dispatches_a_due_event_instead_of_reporting_idle() {
+    for round in 0..20 {
+        let mut sys = SystemBuilder::new(&Topology::line(3))
+            .link_delay(DelayModel::constant_millis(1))
+            .seed(round)
+            .build_threaded()
+            .unwrap();
+        let _session = sys.connect(ClientId::new(1), 0).unwrap();
+        // The Attach action timer is due immediately.
+        assert!(
+            sys.step(),
+            "round {round}: step() returned false with a due event pending"
+        );
+    }
 }

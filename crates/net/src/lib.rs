@@ -24,10 +24,11 @@
 //!    restarted peer.  [`FaultPlan`] injects deterministic socket drops for
 //!    chaos testing;
 //! 3. **[`TcpDriver`]** — the [`Driver`](rebeca_core::Driver)
-//!    implementation: an event loop over the locally hosted nodes with real
-//!    `Instant` timers, sharing the FIFO clamp and event-ordering machinery
-//!    with [`ThreadedDriver`](rebeca_core::ThreadedDriver) via
-//!    [`rebeca_core::driver_util`];
+//!    implementation: the one wall-clock event loop of `rebeca-core`
+//!    ([`WallDriver`](rebeca_core::WallDriver), the same loop
+//!    `build_threaded()` runs in process) over a TCP
+//!    [`Transport`](rebeca_core::Transport) that places nodes, frames sends
+//!    to other processes and feeds received frames back into the loop;
 //! 4. **deployment harness** — the `rebeca-node` binary hosts one broker
 //!    process from a [`ClusterConfig`] file; client processes embed the
 //!    driver through [`SystemBuilderTcp::build_tcp`];

@@ -7,18 +7,16 @@
 //! topology, so broker `i` is [`NodeId`] `i` everywhere; client nodes get
 //! ids above the broker range, allocated by the process that hosts them.
 //!
-//! The driver runs a single-threaded event loop over the local nodes
-//! (dispatch due events, harvest sends and timers).  The loop writes
-//! outbound frames onto their sockets itself; a per-link keeper thread
-//! dials, heart-beats, replays after a reconnect and takes over the socket
-//! only while a slow peer leaves a backlog, and per-connection reader and
+//! A `TcpDriver` is the wall-clock event loop of `rebeca-core`
+//! ([`WallDriver`]) over a TCP [`Transport`]: the loop dispatches due
+//! events and routes sends between hosted nodes; this module places nodes,
+//! frames sends to other processes onto their links and feeds what the
+//! reader threads receive back into the loop.  The loop writes outbound
+//! frames onto their sockets itself; a per-link keeper thread dials,
+//! heart-beats, replays after a reconnect and takes over the socket only
+//! while a slow peer leaves a backlog, and per-connection reader and
 //! ack-pump threads do the blocking reads (see [`link`](crate::link) module
-//! docs).  The event-ordering machinery —
-//! due-time heaps with insertion-order tie-break and the per-direction
-//! monotonic due-time clamp — is shared with
-//! [`ThreadedDriver`](rebeca_core::ThreadedDriver) via
-//! [`rebeca_core::driver_util`], so the FIFO rules cannot diverge between
-//! the wall-clock drivers.
+//! docs).
 //!
 //! # Remote nodes
 //!
@@ -39,28 +37,24 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use rebeca_core::driver_util::{broker_status, FifoClamp, PendingQueue, WallClock};
-use rebeca_core::{Driver, MobilitySystem, RebecaError, SystemBuilder, SystemNode};
+use rebeca_broker::Message;
+use rebeca_core::{
+    Driver, MobileBroker, MobilitySystem, RebecaError, SystemBuilder, SystemNode, Transport,
+    WallDriver, WallState,
+};
 use rebeca_obs::{LinkStatus, SpanRecord, StatusReport, TraceReport};
-use rebeca_sim::{Context, DelayModel, Incoming, Metrics, Node, NodeId, SimDuration, SimTime};
+use rebeca_sim::{DelayModel, Metrics, NodeId, SimDuration, SimTime};
 
 use crate::endpoint::Endpoint;
 use crate::link::{
     spawn_acceptor, FaultPlan, Inbound, LinkConfig, LinkEvent, LinkHandle, LinkRegistry, Sent,
 };
 use crate::wire::Frame;
-
-/// Upper bound on how long the event loop blocks waiting for network
-/// traffic before re-checking its deadlines.
-const MAX_WAIT: Duration = Duration::from_millis(1);
 
 /// Configuration of one process of a TCP deployment.
 #[derive(Debug, Clone)]
@@ -205,28 +199,16 @@ impl NetConfig {
     }
 }
 
-/// The TCP transport driver.  See the module docs for the deployment and
-/// execution model.
-pub struct TcpDriver {
+/// The TCP deployment's [`Transport`]: node placement from the config, the
+/// outbound links, and everything the reader threads hand to the loop.
+struct TcpTransport {
     cfg: NetConfig,
     /// The endpoint peers dial back (advertised in every Hello).
     advertised: Endpoint,
-    /// Locally hosted nodes, by node index.
-    nodes: HashMap<usize, SystemNode>,
-    /// Inert stand-ins for nodes hosted by other processes.
-    placeholders: HashMap<usize, SystemNode>,
-    /// Per local node: the peers it may send to.
-    neighbours: HashMap<usize, Vec<NodeId>>,
-    delays: HashMap<(NodeId, NodeId), DelayModel>,
     /// Listen endpoints of client peers, learned from their handshakes.
     learned: HashMap<usize, Endpoint>,
     /// Highest epoch seen per peer (handshake bookkeeping).
     peer_epochs: HashMap<usize, u64>,
-    /// Receive-side clamp per directed link (network arrivals).
-    clamp_in: FifoClamp<(NodeId, NodeId)>,
-    /// Send-side clamp for local-to-local deliveries.
-    clamp_local: FifoClamp<(NodeId, NodeId)>,
-    pending: HashMap<usize, PendingQueue>,
     /// Outbound links: `(local node, peer node)` → the sending end.
     links: HashMap<(usize, usize), LinkHandle>,
     /// When each peer was last heard from (any frame on an inbound
@@ -250,17 +232,18 @@ pub struct TcpDriver {
     /// they can report link state transitions.
     incoming_tx: Sender<Inbound>,
     incoming_rx: Receiver<Inbound>,
-    clock: WallClock,
-    rng: StdRng,
-    metrics: Metrics,
     shutdown: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     wake_addr: std::net::SocketAddr,
-    next_node: usize,
-    /// Nonce for the `link.tx`/`link.rx` span ids this driver mints (the
+    /// Nonce for the `link.tx`/`link.rx` span ids this process mints (the
     /// high bits keep them disjoint from broker-minted span ids).
     trace_nonce: u64,
 }
+
+/// The TCP transport driver.  See the module docs for the deployment and
+/// execution model.
+#[derive(Debug)]
+pub struct TcpDriver(WallDriver<TcpTransport>);
 
 impl TcpDriver {
     /// Binds the process listener and starts accepting connections.
@@ -321,18 +304,11 @@ impl TcpDriver {
         let registry = Arc::new(LinkRegistry::default());
         let acceptor = spawn_acceptor(listener, incoming_tx.clone(), shutdown.clone(), registry);
         let seed = cfg.seed;
-        Ok(Self {
+        let transport = TcpTransport {
             cfg,
             advertised,
-            nodes: HashMap::new(),
-            placeholders: HashMap::new(),
-            neighbours: HashMap::new(),
-            delays: HashMap::new(),
             learned: HashMap::new(),
             peer_epochs: HashMap::new(),
-            clamp_in: FifoClamp::new(),
-            clamp_local: FifoClamp::new(),
-            pending: HashMap::new(),
             links: HashMap::new(),
             last_seen: HashMap::new(),
             link_up: HashMap::new(),
@@ -342,33 +318,28 @@ impl TcpDriver {
             next_liveness: Instant::now(),
             incoming_tx,
             incoming_rx,
-            clock: WallClock::anchored_now(SimTime::ZERO),
-            rng: StdRng::seed_from_u64(seed),
-            metrics: Metrics::new(),
             shutdown,
             acceptor: Some(acceptor),
             wake_addr: bound,
-            next_node: 0,
             trace_nonce: 0,
-        })
+        };
+        Ok(Self(WallDriver::new(transport, seed)))
     }
 
     /// The endpoint this process advertises in handshakes (its bound
     /// listener; the port is concrete even when configured as `:0`).
     pub fn listen_endpoint(&self) -> &Endpoint {
-        &self.advertised
+        &self.0.transport().advertised
     }
 
     /// The highest restart epoch a peer has announced, if it ever dialled
     /// this process.
     pub fn peer_epoch(&self, node: NodeId) -> Option<u64> {
-        self.peer_epochs.get(&node.index()).copied()
+        self.0.transport().peer_epochs.get(&node.index()).copied()
     }
+}
 
-    fn is_local(&self, index: usize) -> bool {
-        self.nodes.contains_key(&index)
-    }
-
+impl TcpTransport {
     /// The endpoint of a peer node: brokers from the config, clients from
     /// their handshakes.
     fn endpoint_of(&self, peer: usize) -> Option<Endpoint> {
@@ -382,17 +353,12 @@ impl TcpDriver {
     /// Returns the link `(local, peer)`, spawning its keeper thread (which
     /// dials the peer) on first use.  `None` while the peer's endpoint is
     /// still unknown (a client that has not dialled in yet).
-    fn link_for(&mut self, local: usize, peer: NodeId) -> Option<&LinkHandle> {
-        let key = (local, peer.index());
+    fn link_for(&mut self, local: NodeId, peer: NodeId, delay: DelayModel) -> Option<&LinkHandle> {
+        let key = (local.index(), peer.index());
         if !self.links.contains_key(&key) {
             let target = self.endpoint_of(peer.index())?;
-            let delay = self
-                .delays
-                .get(&(NodeId::new(local), peer))
-                .copied()
-                .unwrap_or(DelayModel::Constant(0));
             let hello = Frame::Hello {
-                from: NodeId::new(local),
+                from: local,
                 to: peer,
                 epoch: self.cfg.epoch,
                 listen: self.advertised.clone(),
@@ -418,7 +384,7 @@ impl TcpDriver {
         self.links.get(&key)
     }
 
-    fn handle_inbound(&mut self, inbound: Inbound) {
+    fn handle_inbound(&mut self, state: &mut WallState, inbound: Inbound) {
         match inbound {
             Inbound::Hello {
                 from,
@@ -428,23 +394,18 @@ impl TcpDriver {
                 delay,
             } => {
                 self.learned.insert(from.index(), listen);
-                self.mark_alive(from.index());
+                self.mark_alive(state, from.index());
                 let known = self.peer_epochs.entry(from.index()).or_insert(epoch);
                 *known = (*known).max(epoch);
-                self.metrics.incr("net.hello_in");
-                if !self.is_local(to.index()) {
-                    self.metrics.incr("net.hello_misrouted");
+                state.metrics_mut().incr("net.hello_in");
+                if !state.hosts(to.index()) {
+                    state.metrics_mut().incr("net.hello_misrouted");
                     return;
                 }
                 // A dial-in creates the reverse half of the link on demand
                 // (the dialling side already ran ensure_link; this side may
                 // never have heard of the peer — a client, typically).
-                self.delays.entry((to, from)).or_insert(delay);
-                self.delays.entry((from, to)).or_insert(delay);
-                let neighbours = self.neighbours.entry(to.index()).or_default();
-                if !neighbours.contains(&from) {
-                    neighbours.push(from);
-                }
+                state.learn_link(to, from, delay);
             }
             Inbound::Message {
                 from,
@@ -452,100 +413,79 @@ impl TcpDriver {
                 delay,
                 message,
             } => {
-                self.mark_alive(from.index());
-                if !self.is_local(to.index()) {
-                    self.metrics.incr("net.frames_misrouted");
+                self.mark_alive(state, from.index());
+                if !state.hosts(to.index()) {
+                    state.metrics_mut().incr("net.frames_misrouted");
                     return;
                 }
-                self.metrics.incr("net.frames_in");
-                self.record_link_span("link.rx", to.index() as u64, from, to, &message);
-                let due = self.clamp_in.clamp((from, to), self.clock.now() + delay);
-                self.pending
-                    .get_mut(&to.index())
-                    .expect("local node has a queue")
-                    .push(due, Incoming::Message { from, message });
+                state.metrics_mut().incr("net.frames_in");
+                self.record_link_span(state, "link.rx", to.index() as u64, from, to, &message);
+                state.deliver(from, to, delay, message);
             }
             Inbound::Heartbeat { from, epoch } => {
-                self.mark_alive(from.index());
+                self.mark_alive(state, from.index());
                 let known = self.peer_epochs.entry(from.index()).or_insert(epoch);
                 *known = (*known).max(epoch);
-                self.metrics.incr("net.heartbeats_in");
-                if self.metrics.journal_enabled() {
-                    let now = self.clock.now();
-                    self.metrics.record_event(
-                        now,
-                        "link.heartbeat",
-                        format!("peer={from} epoch={epoch}"),
-                    );
-                }
+                journal(
+                    state,
+                    "net.heartbeats_in",
+                    "link.heartbeat",
+                    format_args!("peer={from} epoch={epoch}"),
+                );
             }
             Inbound::Link { peer, event } => {
                 let p = peer.index();
-                let now = self.clock.now();
                 match event {
                     LinkEvent::Up { resent } => {
                         self.link_up.insert(p, true);
                         if !self.stale_links.contains(&p) {
                             self.down_since.remove(&p);
                         }
-                        self.metrics.incr("net.link_up");
                         if resent > 0 {
-                            self.metrics.add("net.frames_resent", resent as u64);
+                            state.metrics_mut().add("net.frames_resent", resent as u64);
                         }
-                        if self.metrics.journal_enabled() {
-                            self.metrics.record_event(
-                                now,
-                                "link.up",
-                                format!("peer={peer} resent={resent}"),
-                            );
-                        }
+                        journal(
+                            state,
+                            "net.link_up",
+                            "link.up",
+                            format_args!("peer={peer} resent={resent}"),
+                        );
                     }
                     LinkEvent::Down { reason } => {
-                        self.link_up.insert(p, false);
-                        self.down_since.entry(p).or_insert_with(Instant::now);
-                        self.metrics.incr("net.link_down");
-                        if self.metrics.journal_enabled() {
-                            self.metrics.record_event(
-                                now,
-                                "link.drop",
-                                format!("peer={peer} reason={reason}"),
-                            );
-                        }
+                        self.link_down(p);
+                        journal(
+                            state,
+                            "net.link_down",
+                            "link.drop",
+                            format_args!("peer={peer} reason={reason}"),
+                        );
                     }
                     LinkEvent::Redial { attempt } => {
                         self.redials.insert(p, attempt);
-                        self.metrics.incr("net.link_redial");
-                        if self.metrics.journal_enabled() {
-                            self.metrics.record_event(
-                                now,
-                                "link.redial",
-                                format!("peer={peer} attempt={attempt}"),
-                            );
-                        }
+                        journal(
+                            state,
+                            "net.link_redial",
+                            "link.redial",
+                            format_args!("peer={peer} attempt={attempt}"),
+                        );
                     }
                     LinkEvent::Fenced { expected } => {
-                        self.link_up.insert(p, false);
-                        self.down_since.entry(p).or_insert_with(Instant::now);
-                        self.metrics.incr("net.link_fenced");
-                        if self.metrics.journal_enabled() {
-                            self.metrics.record_event(
-                                now,
-                                "link.fenced",
-                                format!("peer={peer} expected_epoch={expected} side=writer"),
-                            );
-                        }
+                        self.link_down(p);
+                        journal(
+                            state,
+                            "net.link_fenced",
+                            "link.fenced",
+                            format_args!("peer={peer} expected_epoch={expected} side=writer"),
+                        );
                     }
                     LinkEvent::Failed { reason } => {
-                        self.link_up.insert(p, false);
-                        self.down_since.entry(p).or_insert_with(Instant::now);
-                        self.metrics.incr("net.link_failed");
-                        if self.metrics.journal_enabled() {
-                            self.metrics.record_event(
-                                now,
-                                "link.failed",
-                                format!("peer={peer} reason={reason}"),
-                            );
-                        }
+                        self.link_down(p);
+                        journal(
+                            state,
+                            "net.link_failed",
+                            "link.failed",
+                            format_args!("peer={peer} reason={reason}"),
+                        );
                     }
                 }
             }
@@ -553,30 +493,25 @@ impl TcpDriver {
                 from,
                 epoch,
                 expected,
-            } => {
-                self.metrics.incr("net.link_fenced_rejected");
-                if self.metrics.journal_enabled() {
-                    let now = self.clock.now();
-                    self.metrics.record_event(
-                        now,
-                        "link.fenced",
-                        format!(
-                            "peer={from} stale_epoch={epoch} expected_epoch={expected} side=reader"
-                        ),
-                    );
-                }
-            }
+            } => journal(
+                state,
+                "net.link_fenced_rejected",
+                "link.fenced",
+                format_args!(
+                    "peer={from} stale_epoch={epoch} expected_epoch={expected} side=reader"
+                ),
+            ),
             Inbound::Duplicate { from, seq } => {
                 let _ = (from, seq);
-                self.metrics.incr("net.frames_duplicate");
+                state.metrics_mut().incr("net.frames_duplicate");
             }
             Inbound::AdminDrop { peer } => {
-                self.metrics.incr("net.admin_drops");
-                if self.metrics.journal_enabled() {
-                    let now = self.clock.now();
-                    self.metrics
-                        .record_event(now, "link.admin_drop", format!("peer={peer}"));
-                }
+                journal(
+                    state,
+                    "net.admin_drops",
+                    "link.admin_drop",
+                    format_args!("peer={peer}"),
+                );
                 for (_, link) in self.links.iter().filter(|(key, _)| key.1 == peer.index()) {
                     link.drop_connection();
                 }
@@ -585,31 +520,45 @@ impl TcpDriver {
                 mut reply,
                 events_after,
             } => {
-                self.metrics.incr("net.status_requests");
-                let report = self.status_report(events_after);
+                state.metrics_mut().incr("net.status_requests");
+                let mut report = state.status(self);
+                if let Some(seq) = events_after {
+                    report.events = state
+                        .metrics()
+                        .journal()
+                        .events_after(seq)
+                        .cloned()
+                        .collect();
+                }
                 // Best effort: a requester that hung up mid-flight loses
                 // its own report, nothing else.
                 if reply
                     .write_all(&Frame::StatusReport(report).encode_framed())
                     .is_err()
                 {
-                    self.metrics.incr("net.status_reply_failed");
+                    state.metrics_mut().incr("net.status_reply_failed");
                 }
             }
             Inbound::Trace {
                 mut reply,
                 spans_after,
             } => {
-                self.metrics.incr("net.trace_requests");
-                let report = self.trace_report(spans_after);
+                state.metrics_mut().incr("net.trace_requests");
+                let report = trace_report(state, spans_after);
                 if reply
                     .write_all(&Frame::TraceReport(report).encode_framed())
                     .is_err()
                 {
-                    self.metrics.incr("net.trace_reply_failed");
+                    state.metrics_mut().incr("net.trace_reply_failed");
                 }
             }
         }
+    }
+
+    /// Marks the outbound link to a peer down.
+    fn link_down(&mut self, peer: usize) {
+        self.link_up.insert(peer, false);
+        self.down_since.entry(peer).or_insert_with(Instant::now);
     }
 
     /// Records a wire-hop span when a sampled message crosses a TCP link:
@@ -619,13 +568,14 @@ impl TcpDriver {
     /// beyond the envelope's own trace tag.
     fn record_link_span(
         &mut self,
+        state: &mut WallState,
         kind: &str,
         broker: u64,
         from: NodeId,
         to: NodeId,
-        message: &rebeca_broker::Message,
+        message: &Message,
     ) {
-        if !self.metrics.span_enabled() {
+        if !state.metrics().span_enabled() {
             return;
         }
         let Some(ctx) = message.trace_context().filter(|c| c.sampled) else {
@@ -635,8 +585,8 @@ impl TcpDriver {
         // broker core's nonce space and the mobility layer's.
         let nonce = self.trace_nonce | (0b11 << 62);
         self.trace_nonce += 1;
-        let now = self.clock.now().as_micros();
-        self.metrics.record_span(SpanRecord {
+        let now = state.now().as_micros();
+        state.metrics_mut().record_span(SpanRecord {
             seq: 0,
             trace_id: ctx.trace_id,
             span_id: rebeca_obs::span_id(ctx.trace_id, broker, nonce),
@@ -649,69 +599,17 @@ impl TcpDriver {
         });
     }
 
-    /// Builds the trace report this process serves: the retained span
-    /// buffer, optionally only past the `spans_after` cursor.
-    fn trace_report(&self, spans_after: Option<u64>) -> TraceReport {
-        let spans = match spans_after {
-            Some(seq) => self.metrics.spans().spans_after(seq).cloned().collect(),
-            None => self.metrics.spans().spans().cloned().collect(),
-        };
-        TraceReport {
-            now_micros: self.clock.now().as_micros(),
-            spans,
-        }
-    }
-
-    /// Builds the live status report this process serves: one
-    /// [`rebeca_obs::BrokerStatus`] per hosted broker, with real link
-    /// liveness, plus the journal tail past `events_after` when requested.
-    fn status_report(&self, events_after: Option<u64>) -> StatusReport {
-        let now = self.clock.now();
-        let mut brokers: Vec<_> = self
-            .nodes
-            .iter()
-            .filter_map(|(&index, node)| match node {
-                SystemNode::Broker(broker) => {
-                    // One incarnation counter per broker: the process
-                    // restart epoch and the WAL generation both count
-                    // restarts, so report whichever has seen more.
-                    let restart_epoch = self.cfg.epoch.max(broker.machine().generation());
-                    Some(broker_status(
-                        index as u64,
-                        broker,
-                        &self.metrics,
-                        now,
-                        restart_epoch,
-                        self.links_of(index),
-                    ))
-                }
-                SystemNode::Client(_) => None,
-            })
-            .collect();
-        brokers.sort_by_key(|b| b.broker);
-        let events = match events_after {
-            Some(seq) => self.metrics.journal().events_after(seq).cloned().collect(),
-            None => Vec::new(),
-        };
-        StatusReport {
-            now_micros: now.as_micros(),
-            node_count: self.node_count() as u64,
-            brokers,
-            events,
-        }
-    }
-
     /// Records inbound traffic from a peer, clearing any heartbeat-silence
     /// staleness the moment it speaks again.
-    fn mark_alive(&mut self, peer: usize) {
+    fn mark_alive(&mut self, state: &mut WallState, peer: usize) {
         self.last_seen.insert(peer, Instant::now());
         if self.stale_links.remove(&peer) {
             if self.link_up.get(&peer).copied().unwrap_or(false) {
                 self.down_since.remove(&peer);
             }
-            if self.metrics.journal_enabled() {
-                let now = self.clock.now();
-                self.metrics.record_event(
+            if state.metrics().journal_enabled() {
+                let now = state.now();
+                state.metrics_mut().record_event(
                     now,
                     "link.up",
                     format!("peer={peer} reason=traffic-resumed"),
@@ -723,7 +621,7 @@ impl TcpDriver {
     /// Declares links to silent peers down: a peer we have not heard from
     /// for more than `heartbeat × missed_heartbeats` is marked stale until
     /// it speaks again. Throttled to the heartbeat cadence.
-    fn check_liveness(&mut self) {
+    fn check_liveness(&mut self, state: &mut WallState) {
         let now = Instant::now();
         if now < self.next_liveness {
             return;
@@ -734,393 +632,233 @@ impl TcpDriver {
             .last_seen
             .iter()
             .filter(|(peer, at)| {
-                !self.is_local(**peer) && !self.stale_links.contains(*peer) && at.elapsed() > limit
+                !state.hosts(**peer) && !self.stale_links.contains(*peer) && at.elapsed() > limit
             })
             .map(|(peer, _)| *peer)
             .collect();
         for peer in newly_stale {
             self.stale_links.insert(peer);
             self.down_since.entry(peer).or_insert_with(Instant::now);
-            self.metrics.incr("net.link_stale");
-            if self.metrics.journal_enabled() {
-                let at = self.clock.now();
-                self.metrics.record_event(
-                    at,
-                    "link.drop",
-                    format!("peer={peer} reason=heartbeat-silence"),
-                );
-            }
+            journal(
+                state,
+                "net.link_stale",
+                "link.drop",
+                format_args!("peer={peer} reason=heartbeat-silence"),
+            );
         }
     }
+}
 
-    /// Link liveness for one hosted broker: its neighbours, with connection
-    /// state from the links and freshness from inbound traffic.
-    fn links_of(&self, index: usize) -> Vec<LinkStatus> {
-        self.neighbours
-            .get(&index)
-            .map(|neighbours| {
-                neighbours
-                    .iter()
-                    .map(|peer| {
-                        let p = peer.index();
-                        if self.is_local(p) {
-                            // In-process links cannot drop and carry no
-                            // heartbeats.
-                            LinkStatus {
-                                peer: p as u64,
-                                connected: true,
-                                last_heartbeat_age_ms: None,
-                                down_since_ms: None,
-                                redial_attempts: 0,
-                            }
-                        } else {
-                            let up = self.link_up.get(&p).copied().unwrap_or(false);
-                            let stale = self.stale_links.contains(&p);
-                            LinkStatus {
-                                peer: p as u64,
-                                connected: up && !stale,
-                                last_heartbeat_age_ms: self
-                                    .last_seen
-                                    .get(&p)
-                                    .map(|at| at.elapsed().as_millis() as u64),
-                                down_since_ms: self
-                                    .down_since
-                                    .get(&p)
-                                    .map(|at| at.elapsed().as_millis() as u64),
-                                redial_attempts: self.redials.get(&p).copied().unwrap_or(0),
-                            }
-                        }
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
+/// Counts `counter` and journals `kind` with `detail` when the journal is
+/// on.
+fn journal(state: &mut WallState, counter: &'static str, kind: &str, detail: std::fmt::Arguments) {
+    state.metrics_mut().incr(counter);
+    if state.metrics().journal_enabled() {
+        let now = state.now();
+        state
+            .metrics_mut()
+            .record_event(now, kind, detail.to_string());
     }
+}
 
-    /// Drains everything the reader threads delivered so far, then
-    /// re-evaluates heartbeat liveness.
-    fn drain_incoming(&mut self) {
-        while let Ok(inbound) = self.incoming_rx.try_recv() {
-            self.handle_inbound(inbound);
+/// Builds the trace report this process serves: the retained span buffer,
+/// optionally only past the `spans_after` cursor.
+fn trace_report(state: &WallState, spans_after: Option<u64>) -> TraceReport {
+    let spans = state.metrics().spans();
+    let spans = match spans_after {
+        Some(seq) => spans.spans_after(seq).cloned().collect(),
+        None => spans.spans().cloned().collect(),
+    };
+    TraceReport {
+        now_micros: state.now().as_micros(),
+        spans,
+    }
+}
+
+impl Transport for TcpTransport {
+    /// Locally idle, in-flight network traffic gets this long per round
+    /// before [`Driver::run_to_idle`] concludes the deployment is quiet.
+    const IDLE_GRACE: Duration = Duration::from_millis(30);
+
+    fn place(&self, next: usize) -> (usize, bool) {
+        let brokers = self.cfg.endpoints.len();
+        if next < brokers {
+            return (next, self.cfg.local.contains(&next));
         }
-        self.check_liveness();
+        (next.max(self.cfg.first_client_node.unwrap_or(0)), true)
     }
 
-    /// The earliest due time over every local pending event.
-    fn next_due(&self) -> Option<SimTime> {
-        self.pending.values().filter_map(|q| q.next_due()).min()
+    fn link_created(&mut self, local: NodeId, peer: NodeId, delay: DelayModel) {
+        // Dial eagerly when the peer endpoint is already known (a broker); a
+        // client peer's endpoint arrives with its handshake and the link
+        // spawns on first send.
+        self.link_for(local, peer, delay);
     }
 
-    /// Routes one harvested send: straight into a local queue, or framed
-    /// onto the peer's link (written by this loop when the socket takes
-    /// it).  A send to a node without a link is counted and journaled, not
-    /// a panic.
-    fn send_from(&mut self, from: usize, to: NodeId, at: SimTime, message: rebeca_broker::Message) {
-        let from_id = NodeId::new(from);
-        let Some(model) = self.delays.get(&(from_id, to)).copied() else {
-            self.unroutable(from_id, to);
-            return;
-        };
-        let delay = model.sample(&mut self.rng);
-        self.metrics.incr("network.messages");
-        if self.is_local(to.index()) {
-            let due = self.clamp_local.clamp((from_id, to), at + delay);
-            self.pending
-                .get_mut(&to.index())
-                .expect("local node has a queue")
-                .push(
-                    due,
-                    Incoming::Message {
-                        from: from_id,
-                        message,
-                    },
-                );
-            return;
-        }
-        self.record_link_span("link.tx", from as u64, from_id, to, &message);
+    /// Frames the send onto the peer's link (written by the loop itself
+    /// when the socket takes it).  A peer whose endpoint is still unknown
+    /// is counted as unroutable.
+    fn send(
+        &mut self,
+        state: &mut WallState,
+        from: NodeId,
+        to: NodeId,
+        delay: SimDuration,
+        message: Message,
+    ) {
+        self.record_link_span(state, "link.tx", from.index() as u64, from, to, &message);
         let frame = Frame::Message {
-            from: from_id,
+            from,
             to,
             delay_micros: delay.as_micros(),
             // The link assigns the real per-direction sequence number.
             seq: 0,
             message,
         };
-        let Some(link) = self.link_for(from, to) else {
-            self.unroutable(from_id, to);
+        let model = state
+            .link_delay(from, to)
+            .unwrap_or(DelayModel::Constant(0));
+        let Some(link) = self.link_for(from, to, model) else {
+            state.unroutable(from, to);
             return;
         };
         // A send is only dropped once the link is gone for good: a fenced
         // link, a resend window overflow, or an unsplittable frame.
         // Transient disconnects never reject sends — the link queues and
         // replays them itself.
+        let metrics = state.metrics_mut();
         match link.send(frame) {
-            Sent::Accepted => self.metrics.incr("net.frames_out"),
+            Sent::Accepted => metrics.incr("net.frames_out"),
             Sent::HandedOff => {
-                self.metrics.incr("net.frames_out");
-                self.metrics.incr("net.writes_handed_off");
+                metrics.incr("net.frames_out");
+                metrics.incr("net.writes_handed_off");
             }
-            Sent::Dropped => self.metrics.incr("net.frames_dropped"),
+            Sent::Dropped => metrics.incr("net.frames_dropped"),
         }
     }
 
-    /// Counts and journals a send this process cannot route: no link
-    /// between the two nodes, or a peer whose endpoint is still unknown.
-    fn unroutable(&mut self, from: NodeId, to: NodeId) {
-        self.metrics.incr("net.frames_unroutable");
-        if self.metrics.journal_enabled() {
-            let now = self.clock.now();
-            self.metrics
-                .record_event(now, "link.unroutable", format!("from={from} to={to}"));
-        }
-    }
-
-    /// Dispatches the earliest due event of node `index`, if any.
-    fn dispatch(&mut self, index: usize, now: SimTime) -> bool {
-        let Some(pending) = self
-            .pending
-            .get_mut(&index)
-            .and_then(|queue| queue.pop_due(now))
-        else {
-            return false;
+    /// Takes what the reader threads delivered, then re-evaluates heartbeat
+    /// liveness.
+    fn poll(&mut self, state: &mut WallState, timeout: Duration) -> bool {
+        let first = if timeout.is_zero() {
+            self.incoming_rx.try_recv().ok()
+        } else {
+            self.incoming_rx.recv_timeout(timeout).ok()
         };
-        // A node observes its event no earlier than the event's deadline,
-        // even if the loop woke early.
-        let at = pending.due.max(now);
-        // Move the node and its neighbour list out for the dispatch (no
-        // per-event clone) and put both back before routing the harvest.
-        let mut node = self
-            .nodes
-            .remove(&index)
-            .expect("dispatch targets a local node");
-        let neighbours = self.neighbours.remove(&index).unwrap_or_default();
-        let mut ctx = Context::external(at, NodeId::new(index), &neighbours, &mut self.metrics);
-        node.handle(&mut ctx, pending.event);
-        let (outgoing, timers) = ctx.into_harvest();
-        self.nodes.insert(index, node);
-        self.neighbours.insert(index, neighbours);
-        for (to, message) in outgoing {
-            self.send_from(index, to, at, message);
+        let arrived = first.is_some();
+        if let Some(inbound) = first {
+            self.handle_inbound(state, inbound);
+            while let Ok(inbound) = self.incoming_rx.try_recv() {
+                self.handle_inbound(state, inbound);
+            }
         }
-        for (delay, tag) in timers {
-            self.pending
-                .get_mut(&index)
-                .expect("local node has a queue")
-                .push(at + delay, Incoming::Timer { tag });
-        }
-        true
+        self.check_liveness(state);
+        arrived
     }
 
-    /// The core event loop: runs until the wall clock reaches `until`.
-    fn run_phase(&mut self, until: SimTime) -> u64 {
-        let mut processed = 0;
-        loop {
-            self.drain_incoming();
-            let now = self.clock.now();
-            if now >= until {
-                break;
-            }
-            // Dispatch everything due across the local nodes.
-            let due_node = self
-                .pending
-                .iter()
-                .filter_map(|(&i, q)| q.next_due().map(|due| (due, i)))
-                .min();
-            if let Some((due, index)) = due_node {
-                if due <= now && self.dispatch(index, now) {
-                    processed += 1;
-                    continue;
+    /// One incarnation counter per broker: the process restart epoch and
+    /// the WAL generation both count restarts, so reports show whichever
+    /// has seen more.
+    fn restart_epoch(&self) -> u64 {
+        self.cfg.epoch
+    }
+
+    /// The broker's neighbours, with connection state from the links and
+    /// freshness from inbound traffic.
+    fn links(&self, state: &WallState, index: usize, _broker: &MobileBroker) -> Vec<LinkStatus> {
+        state
+            .neighbours(index)
+            .iter()
+            .map(|peer| {
+                let p = peer.index();
+                if state.hosts(p) {
+                    // In-process links cannot drop and carry no heartbeats.
+                    return LinkStatus {
+                        peer: p as u64,
+                        connected: true,
+                        last_heartbeat_age_ms: None,
+                        down_since_ms: None,
+                        redial_attempts: 0,
+                    };
                 }
-            }
-            // Nothing due: wait for network traffic, capped by the next
-            // local deadline and the phase deadline.
-            let wall_now = Instant::now();
-            let mut wait = MAX_WAIT;
-            if let Some((due, _)) = due_node {
-                wait = wait.min(self.clock.to_wall(due).saturating_duration_since(wall_now));
-            }
-            wait = wait.min(
-                self.clock
-                    .to_wall(until)
-                    .saturating_duration_since(wall_now),
-            );
-            let wait = wait.max(Duration::from_micros(20));
-            let received = self.incoming_rx.recv_timeout(wait);
-            match received {
-                Ok(inbound) => self.handle_inbound(inbound),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        processed
+                let up = self.link_up.get(&p).copied().unwrap_or(false);
+                LinkStatus {
+                    peer: p as u64,
+                    connected: up && !self.stale_links.contains(&p),
+                    last_heartbeat_age_ms: self
+                        .last_seen
+                        .get(&p)
+                        .map(|at| at.elapsed().as_millis() as u64),
+                    down_since_ms: self
+                        .down_since
+                        .get(&p)
+                        .map(|at| at.elapsed().as_millis() as u64),
+                    redial_attempts: self.redials.get(&p).copied().unwrap_or(0),
+                }
+            })
+            .collect()
     }
 }
 
 impl Driver for TcpDriver {
     fn add_node(&mut self, node: SystemNode) -> NodeId {
-        if self.next_node >= self.cfg.endpoints.len() {
-            if let Some(base) = self.cfg.first_client_node {
-                if self.next_node < base {
-                    self.next_node = base;
-                }
-            }
-        }
-        let index = self.next_node;
-        self.next_node += 1;
-        let is_remote_broker = index < self.cfg.endpoints.len() && !self.cfg.local.contains(&index);
-        if is_remote_broker {
-            self.placeholders.insert(index, node);
-        } else {
-            self.nodes.insert(index, node);
-            self.pending.insert(index, PendingQueue::new());
-            self.neighbours.entry(index).or_default();
-        }
-        NodeId::new(index)
+        self.0.add_node(node)
     }
 
     fn ensure_link(&mut self, a: NodeId, b: NodeId, delay: DelayModel) -> bool {
-        if self.delays.contains_key(&(a, b)) {
-            return false;
-        }
-        self.delays.insert((a, b), delay);
-        self.delays.insert((b, a), delay);
-        for (x, y) in [(a, b), (b, a)] {
-            if self.is_local(x.index()) {
-                let neighbours = self.neighbours.entry(x.index()).or_default();
-                if !neighbours.contains(&y) {
-                    neighbours.push(y);
-                }
-                if !self.is_local(y.index()) {
-                    // Dial eagerly when the peer endpoint is already known
-                    // (a broker); a client peer's endpoint arrives with its
-                    // handshake and the link spawns on first send.
-                    self.link_for(x.index(), y);
-                }
-            }
-        }
-        true
+        self.0.ensure_link(a, b, delay)
     }
 
     fn schedule_timer(&mut self, node: NodeId, at: SimTime, tag: u64) {
-        let Some(queue) = self.pending.get_mut(&node.index()) else {
-            // Timers on remote nodes belong to the hosting process.
-            self.metrics.incr("net.timer_misrouted");
-            return;
-        };
-        let due = at.max(self.clock.now());
-        queue.push(due, Incoming::Timer { tag });
+        self.0.schedule_timer(node, at, tag)
     }
 
     fn now(&self) -> SimTime {
-        self.clock.now()
+        self.0.now()
     }
 
     fn step(&mut self) -> bool {
-        // Dispatch the earliest pending event directly (waiting up to its
-        // deadline) instead of racing a tiny run_phase window against the
-        // live wall clock — `while system.step() {}` must never report idle
-        // while an event is still queued.  The wait watches the incoming
-        // channel, so a network message arriving (and becoming due) before
-        // a far-out timer is dispatched first, as under run_until.
-        loop {
-            self.drain_incoming();
-            let Some((due, index)) = self
-                .pending
-                .iter()
-                .filter_map(|(&i, q)| q.next_due().map(|d| (d, i)))
-                .min()
-            else {
-                return false;
-            };
-            let wall_due = self.clock.to_wall(due);
-            let now = Instant::now();
-            if wall_due <= now {
-                return self.dispatch(index, self.clock.now());
-            }
-            let received = self.incoming_rx.recv_timeout(wall_due - now);
-            match received {
-                // New traffic may carry an earlier due event: re-evaluate.
-                Ok(inbound) => self.handle_inbound(inbound),
-                Err(RecvTimeoutError::Timeout) => {
-                    return self.dispatch(index, self.clock.now());
-                }
-                Err(RecvTimeoutError::Disconnected) => return false,
-            }
-        }
+        self.0.step()
     }
 
     fn run_until(&mut self, until: SimTime) -> u64 {
-        self.run_phase(until)
+        self.0.run_until(until)
     }
 
     fn run_to_idle(&mut self, max_events: u64) -> u64 {
-        let mut processed = 0;
-        let mut idle_rounds = 0;
-        while processed < max_events && idle_rounds < 3 {
-            self.drain_incoming();
-            match self.next_due() {
-                Some(due) => {
-                    idle_rounds = 0;
-                    // Jump to the next deadline plus a settling window so
-                    // cascades of follow-up events drain in one phase.
-                    let target = due.max(self.clock.now()) + SimDuration::from_millis(20);
-                    processed += self.run_phase(target);
-                }
-                None => {
-                    // Locally idle; give in-flight network traffic a grace
-                    // window before concluding the deployment is quiet.
-                    idle_rounds += 1;
-                    let received = self.incoming_rx.recv_timeout(Duration::from_millis(30));
-                    if let Ok(inbound) = received {
-                        self.handle_inbound(inbound);
-                        idle_rounds = 0;
-                    }
-                }
-            }
-        }
-        processed
+        self.0.run_to_idle(max_events)
     }
 
     fn node(&self, id: NodeId) -> &SystemNode {
-        self.nodes
-            .get(&id.index())
-            .or_else(|| self.placeholders.get(&id.index()))
-            .expect("node id from add_node")
+        self.0.node(id)
     }
 
     fn node_mut(&mut self, id: NodeId) -> &mut SystemNode {
-        self.nodes
-            .get_mut(&id.index())
-            .or_else(|| self.placeholders.get_mut(&id.index()))
-            .expect("node id from add_node")
+        self.0.node_mut(id)
     }
 
     fn replace_node(&mut self, id: NodeId, node: SystemNode) -> SystemNode {
-        let slot = self
-            .nodes
-            .get_mut(&id.index())
-            .or_else(|| self.placeholders.get_mut(&id.index()))
-            .expect("node id from add_node");
-        std::mem::replace(slot, node)
+        self.0.replace_node(id, node)
     }
 
     fn node_count(&self) -> usize {
-        self.nodes.len() + self.placeholders.len()
+        self.0.node_count()
     }
 
     fn metrics(&self) -> &Metrics {
-        &self.metrics
+        self.0.metrics()
     }
 
     fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
+        self.0.metrics_mut()
     }
 
     fn status(&self) -> StatusReport {
-        self.status_report(None)
+        self.0.status()
     }
 }
 
-impl Drop for TcpDriver {
+impl Drop for TcpTransport {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Wake the acceptor out of its poll loop, then join it; keepers,
@@ -1132,17 +870,11 @@ impl Drop for TcpDriver {
     }
 }
 
-impl std::fmt::Debug for TcpDriver {
+impl std::fmt::Debug for TcpTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpDriver")
+        f.debug_struct("TcpTransport")
             .field("listen", &self.advertised)
-            .field("local_nodes", &self.nodes.len())
-            .field("remote_nodes", &self.placeholders.len())
             .field("connections_out", &self.links.len())
-            .field(
-                "pending",
-                &self.pending.values().map(|q| q.len()).sum::<usize>(),
-            )
             .finish()
     }
 }

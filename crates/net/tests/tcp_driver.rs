@@ -702,6 +702,91 @@ fn a_send_to_a_non_neighbour_is_counted_not_a_panic() {
     assert_eq!(journal, vec![format!("from={client} to={broker}")]);
 }
 
+/// Hostile input over the wire: a peer that completes a `Hello` and then
+/// sends broker-to-client `Deliver`/`DeliverBatch` frames to a broker has
+/// them rejected and journaled; the broker keeps running and delivers later
+/// publications.
+#[test]
+fn a_deliver_frame_sent_to_a_broker_is_rejected_not_a_crash() {
+    use rebeca_broker::{Delivery, Envelope, Message};
+    use rebeca_net::wire::Frame;
+    use rebeca_sim::NodeId;
+    use std::io::Write;
+
+    let (broker_sys, endpoint) = broker_system();
+    let stop = Arc::new(AtomicBool::new(false));
+    let pump = pump_in_background(broker_sys, stop.clone());
+
+    let rogue = NodeId::new(40);
+    let mut socket =
+        std::net::TcpStream::connect(endpoint.socket_addr().unwrap()).expect("dial broker");
+    let hello = Frame::Hello {
+        from: rogue,
+        to: NodeId::new(0),
+        epoch: 0,
+        listen: Endpoint::new("127.0.0.1", 1), // never dialled back in this test
+        delay: DelayModel::Constant(0),
+    };
+    let delivery = |seq: u64| Delivery {
+        subscriber: CONSUMER,
+        filter: common::parking_filter(),
+        seq,
+        envelope: Envelope::new(PRODUCER, seq, common::vacancy(seq)),
+    };
+    let frame = |seq: u64, message: Message| Frame::Message {
+        from: rogue,
+        to: NodeId::new(0),
+        delay_micros: 0,
+        seq,
+        message,
+    };
+    socket.write_all(&hello.encode_framed()).unwrap();
+    socket
+        .write_all(&frame(1, Message::Deliver(delivery(1))).encode_framed())
+        .unwrap();
+    socket
+        .write_all(&frame(2, Message::DeliverBatch(vec![delivery(2)])).encode_framed())
+        .unwrap();
+
+    // The broker journals the rejections and still answers its status
+    // plane.  The journal tail starts after sequence 0, so wait for the
+    // second rejection; frames on one link are handled in order.
+    let rejected = (0..100).any(|_| {
+        std::thread::sleep(Duration::from_millis(20));
+        rebeca_net::fetch_status(&endpoint, Some(0), Duration::from_secs(2))
+            .map(|report| {
+                report.events.iter().any(|e| {
+                    e.kind == "broker.rejected"
+                        && e.detail == format!("kind=deliver_batch from={rogue}")
+                })
+            })
+            .unwrap_or(false)
+    });
+    assert!(rejected, "the broker journals the rejected DeliverBatch");
+
+    // A later publication still reaches a subscriber on that broker.
+    let mut client_sys = builder(1)
+        .build_tcp(NetConfig::new(vec![endpoint; 3]).seed(91))
+        .expect("client system builds");
+    let consumer = client_sys.connect(CONSUMER, 0).expect("consumer");
+    consumer
+        .subscribe(&mut client_sys, common::parking_filter())
+        .expect("subscribe");
+    let producer = client_sys.connect(PRODUCER, 0).expect("producer");
+    let now = client_sys.now();
+    client_sys.run_until(now + SimDuration::from_millis(100));
+    producer
+        .publish(&mut client_sys, common::vacancy(1))
+        .expect("publish");
+    let delivered = common::run_until_deliveries(&mut client_sys, 1, 10_000);
+    stop.store(true, Ordering::SeqCst);
+    let broker_sys = pump.join().expect("broker pump thread");
+    drop(socket);
+
+    assert!(delivered, "the broker delivers after the rejected frames");
+    assert_eq!(broker_sys.metrics().counter("broker.rejected"), 2);
+}
+
 /// One frame read off a raw connection: the sender and sequence number of a
 /// protocol message, plus how many notifications a `PublishBatch` carried.
 struct RawFrame {

@@ -10,9 +10,9 @@
 //! Every matching notification still arrives exactly once, in order.
 //!
 //! The same application code runs twice: once on the deterministic
-//! discrete-event simulator and once on the wall-clock `ThreadedDriver`
-//! (one thread per node, std channels as links, real `Instant` timers) —
-//! the sans-IO driver boundary makes the event loop a deployment choice.
+//! discrete-event simulator and once on the wall-clock event loop of
+//! `build_threaded()` (every node in process, real `Instant` timers) — the
+//! sans-IO driver boundary makes the event loop a deployment choice.
 //!
 //! Run with:
 //! ```text

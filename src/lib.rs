@@ -35,7 +35,7 @@
 //! [`SystemBuilder`] constructs a deployment, [`MobilitySystem::connect`]
 //! opens an interactive [`Session`], and the sans-IO [`Driver`] boundary
 //! picks between the deterministic simulator and the wall-clock
-//! [`ThreadedDriver`].
+//! [`WallDriver`].
 //!
 //! # Example
 //!
@@ -142,8 +142,7 @@ pub mod net {
 pub use rebeca_broker::{ClientId, ConsumerLog, Delivery, Envelope, Message, SubscriptionId};
 pub use rebeca_core::{
     BrokerConfig, ClientAction, ClientNode, Driver, LogicalMobilityMode, MobileBroker,
-    MobilitySystem, PersistenceConfig, RebecaError, Session, SimDriver, SystemBuilder,
-    ThreadedDriver,
+    MobilitySystem, PersistenceConfig, RebecaError, Session, SimDriver, SystemBuilder, WallDriver,
 };
 pub use rebeca_filter::{Constraint, Filter, LocationDependentFilter, Notification, Value};
 pub use rebeca_location::{AdaptivityPlan, Itinerary, LocationId, LocationSpace, MovementGraph};
